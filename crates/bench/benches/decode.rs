@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ppm_bench::{prepare_lrc, prepare_rs, prepare_sd, Prepared};
-use ppm_core::{Decoder, DecoderConfig, Strategy};
+use ppm_core::{DecodePlan, DecoderConfig, Executor, Strategy};
 use ppm_gf::Backend;
 
 const STRIPE: usize = 1 << 20; // 1 MiB
@@ -13,46 +13,22 @@ fn bench_prepared(c: &mut Criterion, label: &str, prep: &Prepared<u8>) {
     let mut g = c.benchmark_group(format!("decode_{label}"));
     g.throughput(Throughput::Bytes(prep.pristine.total_bytes() as u64));
     g.sample_size(15);
-    {
-        // Our extension: region-chunked H_rest execution.
-        let decoder = Decoder::new(DecoderConfig {
-            threads: 2,
-            backend: Backend::Auto,
-        });
-        let plan = decoder
-            .plan(&prep.h, &prep.scenario, Strategy::PpmAuto)
-            .expect("plan");
-        g.bench_with_input(
-            BenchmarkId::from_parameter("ppm_chunked_64k"),
-            &plan,
-            |b, plan| {
-                let mut scratch = prep.pristine.clone();
-                b.iter(|| {
-                    scratch.erase(&prep.scenario);
-                    decoder
-                        .decode_chunked(plan, &mut scratch, 64 * 1024)
-                        .expect("decode");
-                });
-            },
-        );
-    }
     for (name, strategy) in [
         ("traditional_c1", Strategy::TraditionalNormal),
         ("traditional_c2", Strategy::TraditionalMatrixFirst),
         ("ppm_auto", Strategy::PpmAuto),
     ] {
-        let decoder = Decoder::new(DecoderConfig {
+        let executor = Executor::new(DecoderConfig {
             threads: 2,
             backend: Backend::Auto,
         });
-        let plan = decoder
-            .plan(&prep.h, &prep.scenario, strategy)
-            .expect("plan");
+        let plan =
+            DecodePlan::build(&prep.h, &prep.scenario, strategy, Backend::Auto).expect("plan");
         g.bench_with_input(BenchmarkId::from_parameter(name), &plan, |b, plan| {
             let mut scratch = prep.pristine.clone();
             b.iter(|| {
                 scratch.erase(&prep.scenario);
-                decoder.decode(plan, &mut scratch).expect("decode");
+                executor.decode(plan, &mut scratch).expect("decode");
             });
         });
     }

@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ppm_codes::{ErasureCode, LrcCode, RsCode, SdCode};
-use ppm_core::{encode, Decoder, DecoderConfig};
+use ppm_core::{encode, DecoderConfig, Executor};
 use ppm_gf::Backend;
 use ppm_stripe::random_data_stripe;
 use rand::{rngs::StdRng, SeedableRng};
@@ -12,7 +12,7 @@ fn bench_encode(c: &mut Criterion) {
     let mut g = c.benchmark_group("encode_1MiB");
     g.sample_size(15);
 
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 2,
         backend: Backend::Auto,
     });
@@ -28,7 +28,7 @@ fn bench_encode(c: &mut Criterion) {
         |b, s| {
             b.iter_batched(
                 || s.clone(),
-                |mut st| encode(&sd, &decoder, &mut st).expect("encode"),
+                |mut st| encode(&sd, &executor, &mut st).expect("encode"),
                 criterion::BatchSize::LargeInput,
             );
         },
@@ -43,7 +43,7 @@ fn bench_encode(c: &mut Criterion) {
         |b, s| {
             b.iter_batched(
                 || s.clone(),
-                |mut st| encode(&lrc, &decoder, &mut st).expect("encode"),
+                |mut st| encode(&lrc, &executor, &mut st).expect("encode"),
                 criterion::BatchSize::LargeInput,
             );
         },
@@ -55,7 +55,7 @@ fn bench_encode(c: &mut Criterion) {
     g.bench_with_input(BenchmarkId::from_parameter("rs_9_6"), &stripe, |b, s| {
         b.iter_batched(
             || s.clone(),
-            |mut st| encode(&rs, &decoder, &mut st).expect("encode"),
+            |mut st| encode(&rs, &executor, &mut st).expect("encode"),
             criterion::BatchSize::LargeInput,
         );
     });

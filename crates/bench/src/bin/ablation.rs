@@ -14,8 +14,8 @@
 //!
 //! `cargo run --release -p ppm-bench --bin ablation [--stripe-mib N]`
 
-use ppm_bench::{improvement, modeled_decode_time, modeled_decode_time_chunked, ExpArgs, Table};
-use ppm_core::{Decoder, DecoderConfig, Strategy};
+use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
+use ppm_core::{DecodePlan, DecoderConfig, Executor, Strategy};
 use ppm_gf::Backend;
 use std::time::Instant;
 
@@ -64,14 +64,6 @@ fn main() {
         format!("{:.2}ms", modeled * 1e3),
         format!("{:+.1}%", 100.0 * improvement(base, modeled)),
     ]);
-    // Our extension: chunk H_rest's regions across the pool as well.
-    let chunked = modeled_decode_time_chunked(&plan, serial, 4, 4, SPAWN_OVERHEAD);
-    t.row(&[
-        "PPM + chunked rest (T=4, modeled*)".into(),
-        plan.mult_xors().to_string(),
-        format!("{:.2}ms", chunked * 1e3),
-        format!("{:+.1}%", 100.0 * improvement(base, chunked)),
-    ]);
 
     // Backend ablation: same C1 plan, scalar vs best SIMD.
     println!("\nregion-kernel backend ablation (C1 plan):");
@@ -81,19 +73,23 @@ fn main() {
         if !backend.is_available() {
             continue;
         }
-        let decoder = Decoder::new(DecoderConfig {
+        let executor = Executor::new(DecoderConfig {
             threads: 1,
             backend,
         });
-        let plan = decoder
-            .plan(&prep.h, &prep.scenario, Strategy::TraditionalNormal)
-            .expect("plan");
+        let plan = DecodePlan::build(
+            &prep.h,
+            &prep.scenario,
+            Strategy::TraditionalNormal,
+            backend,
+        )
+        .expect("plan");
         let mut scratch = prep.pristine.clone();
         let mut best = f64::INFINITY;
         for _ in 0..args.reps {
             scratch.erase(&prep.scenario);
             let t0 = Instant::now();
-            decoder.decode(&plan, &mut scratch).expect("decode");
+            executor.decode(&plan, &mut scratch).expect("decode");
             best = best.min(t0.elapsed().as_secs_f64());
         }
         assert!(scratch == prep.pristine);

@@ -15,7 +15,7 @@
 
 use ppm_bench::{ExpArgs, Table};
 use ppm_codes::{ErasureCode, FailureScenario, LrcCode, PmdsCode, SdCode};
-use ppm_core::{encode, Decoder, DecoderConfig, RepairService};
+use ppm_core::{encode, DecoderConfig, Executor, RepairService};
 use ppm_gf::Backend;
 use ppm_stripe::random_data_stripe;
 use rand::{rngs::StdRng, SeedableRng};
@@ -102,7 +102,7 @@ fn main() {
 
         let mut rng = StdRng::seed_from_u64(args.seed ^ 0xA5A5);
         let mut pristine = random_data_stripe(&code, sector_bytes, &mut rng);
-        let enc = Decoder::new(config);
+        let enc = Executor::new(config);
         encode(&code, &enc, &mut pristine).expect("encode");
 
         // Cold: every run starts a fresh session, so the repair pays the

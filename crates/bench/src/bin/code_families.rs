@@ -14,7 +14,7 @@ use ppm_bench::{improvement, modeled_decode_time, ExpArgs, Table};
 use ppm_codes::{
     ErasureCode, EvenOddCode, FailureScenario, LrcCode, RdpCode, RsCode, SdCode, StarCode,
 };
-use ppm_core::{encode, Decoder, DecoderConfig, Strategy};
+use ppm_core::{encode, DecodePlan, DecoderConfig, Executor, Strategy};
 use ppm_gf::{Backend, GfWord};
 use ppm_stripe::random_data_stripe;
 use rand::{rngs::StdRng, SeedableRng};
@@ -32,21 +32,21 @@ fn run<W: GfWord, C: ErasureCode<W>>(
     let sector = (args.stripe_bytes / layout.sectors() / 8 * 8).max(8);
     let mut rng = StdRng::seed_from_u64(args.seed);
     let mut pristine = random_data_stripe(code, sector, &mut rng);
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Auto,
     });
-    encode(code, &decoder, &mut pristine).expect("encode");
+    encode(code, &executor, &mut pristine).expect("encode");
     let h = code.parity_check_matrix();
 
     let time = |strategy: Strategy| {
-        let plan = decoder.plan(&h, &scenario, strategy).expect("plan");
+        let plan = DecodePlan::build(&h, &scenario, strategy, Backend::Auto).expect("plan");
         let mut scratch = pristine.clone();
         let mut best = f64::INFINITY;
         for _ in 0..args.reps {
             scratch.erase(&scenario);
             let t0 = Instant::now();
-            decoder.decode(&plan, &mut scratch).expect("decode");
+            executor.decode(&plan, &mut scratch).expect("decode");
             best = best.min(t0.elapsed().as_secs_f64());
         }
         assert!(scratch == pristine, "{}: not bit-exact", code.name());

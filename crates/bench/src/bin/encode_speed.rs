@@ -12,7 +12,7 @@
 
 use ppm_bench::{improvement, modeled_decode_time, throughput_mbs, ExpArgs, Table};
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{Decoder, DecoderConfig, Strategy};
+use ppm_core::{DecodePlan, DecoderConfig, Executor, Strategy};
 use ppm_gf::{Backend, GfWord};
 use ppm_stripe::random_data_stripe;
 use rand::{rngs::StdRng, SeedableRng};
@@ -27,18 +27,18 @@ fn measure<W: GfWord, C: ErasureCode<W>>(code: &C, args: &ExpArgs, t: &Table) {
     let stripe = random_data_stripe(code, sector, &mut rng);
     let h = code.parity_check_matrix();
     let scenario = FailureScenario::new(code.parity_sectors());
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Auto,
     });
 
     let time_strategy = |strategy: Strategy| {
-        let plan = decoder.plan(&h, &scenario, strategy).expect("encodable");
+        let plan = DecodePlan::build(&h, &scenario, strategy, Backend::Auto).expect("encodable");
         let mut best = f64::INFINITY;
         let mut scratch = stripe.clone();
         for _ in 0..args.reps {
             let t0 = Instant::now();
-            decoder.decode(&plan, &mut scratch).expect("encode");
+            executor.decode(&plan, &mut scratch).expect("encode");
             best = best.min(t0.elapsed().as_secs_f64());
         }
         (best, plan)

@@ -18,7 +18,7 @@
 
 use ppm_bench::{modeled_batch_time, write_bench_json, ExpArgs, Table};
 use ppm_codes::{ErasureCode, FailureScenario, SdCode};
-use ppm_core::{Decoder, DecoderConfig, RepairService, Strategy};
+use ppm_core::{DecodePlan, DecoderConfig, Executor, RepairService, Strategy};
 use ppm_gf::Backend;
 use ppm_stripe::random_data_stripe;
 use rand::{rngs::StdRng, SeedableRng};
@@ -50,14 +50,13 @@ fn main() {
     // Encode the batch through one shared plan (encoding is decoding
     // with every parity sector faulty), small sectors so the job is
     // plan-bound rather than memory-bound.
-    let enc = Decoder::new(DecoderConfig {
+    let enc = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Auto,
     });
     let parity = FailureScenario::new(code.parity_sectors());
-    let enc_plan = enc
-        .plan(&h, &parity, Strategy::PpmAuto)
-        .expect("encode plan");
+    let enc_plan =
+        DecodePlan::build(&h, &parity, Strategy::PpmAuto, Backend::Auto).expect("encode plan");
     let mut pristine = Vec::with_capacity(batch);
     for _ in 0..batch {
         let mut stripe = random_data_stripe(&code, sector_bytes, &mut rng);

@@ -5,7 +5,7 @@
 
 use ppm_codes::{ErasureCode, FailureScenario, SdCode};
 use ppm_core::cost::{analyze, SdClosedForm};
-use ppm_core::{encode, Decoder, DecoderConfig, LogTable, Partition, Strategy};
+use ppm_core::{encode, DecodePlan, DecoderConfig, Executor, LogTable, Partition, Strategy};
 use ppm_stripe::random_data_stripe;
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -53,16 +53,15 @@ fn main() {
 
     // Run the winning plan instrumented: the executed mult_XOR count from
     // the region kernels must land exactly on the predicted C4 = 29.
-    let decoder = Decoder::new(DecoderConfig::default());
+    let config = DecoderConfig::default();
+    let executor = Executor::new(config);
     let mut rng = StdRng::seed_from_u64(2015);
     let mut stripe = random_data_stripe(&code, 4096, &mut rng);
-    encode(&code, &decoder, &mut stripe).expect("encode");
+    encode(&code, &executor, &mut stripe).expect("encode");
     let pristine = stripe.clone();
     stripe.erase(&sc);
-    let plan = decoder.plan(&h, &sc, Strategy::PpmAuto).expect("plan");
-    let stats = decoder
-        .decode_with_stats(&plan, &mut stripe)
-        .expect("decode");
+    let plan = DecodePlan::build(&h, &sc, Strategy::PpmAuto, config.backend).expect("plan");
+    let stats = executor.decode(&plan, &mut stripe).expect("decode");
     assert_eq!(stripe, pristine, "recovery must be bit-exact");
     println!(
         "\nexecuted (runtime telemetry): strategy {:?}, p={}, \

@@ -47,33 +47,6 @@ pub fn modeled_decode_time<W: GfWord>(
     (makespan + plan.rest_cost()) as f64 * tau + extra_threads as f64 * spawn_overhead
 }
 
-/// Like [`modeled_decode_time`], but with the `H_rest` phase *also*
-/// parallelized across the workers — the prediction for
-/// `Decoder::decode_chunked`, our region-chunking extension, which splits
-/// the remaining sub-matrix's byte-wise-independent region work instead
-/// of leaving it serial. The chunk-dispatch overhead is folded into
-/// `spawn_overhead`.
-pub fn modeled_decode_time_chunked<W: GfWord>(
-    plan: &DecodePlan<W>,
-    serial_secs: f64,
-    threads: usize,
-    cores: usize,
-    spawn_overhead: f64,
-) -> f64 {
-    let costs = plan.independent_costs();
-    let total = plan.mult_xors();
-    if total == 0 {
-        return 0.0;
-    }
-    let tau = serial_secs / total as f64;
-    let workers = threads.min(cores).max(1);
-    let phase_a_workers = workers.min(costs.len().max(1));
-    let makespan = lpt_makespan(&costs, phase_a_workers);
-    let rest = (plan.rest_cost() as f64 / workers as f64).ceil();
-    let extra_threads = workers.saturating_sub(1);
-    (makespan as f64 + rest) * tau + extra_threads as f64 * spawn_overhead
-}
-
 /// Models the wall-clock of `RepairService::repair_batch` repairing
 /// `stripes` identically-failed stripes with `workers` stripe-level
 /// worker threads on a machine with `cores` cores.
@@ -208,32 +181,5 @@ mod batch_model_tests {
         assert!((with - without - 0.3).abs() < 1e-9);
         // Empty batch is instantaneous.
         assert_eq!(modeled_batch_time(0, per, 4, 8, 0.1), 0.0);
-    }
-}
-
-#[cfg(test)]
-mod chunked_model_tests {
-    use super::*;
-    use ppm_codes::{ErasureCode, FailureScenario, SdCode};
-    use ppm_core::{DecodePlan, Strategy};
-    use ppm_gf::Backend;
-
-    #[test]
-    fn chunked_model_beats_plain_on_rest_heavy_plans() {
-        let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
-        let plan = DecodePlan::build(
-            &code.parity_check_matrix(),
-            &FailureScenario::new(vec![2, 6, 10, 13, 14]),
-            Strategy::PpmNormalRest,
-            Backend::Scalar,
-        )
-        .unwrap();
-        // Plain model: rest (20 of 29) stays serial; chunked splits it.
-        let plain = modeled_decode_time(&plan, 1.0, 4, 4, 0.0);
-        let chunked = modeled_decode_time_chunked(&plan, 1.0, 4, 4, 0.0);
-        assert!(chunked < plain, "chunked {chunked} !< plain {plain}");
-        // Serial: both degenerate to the measured time.
-        let s1 = modeled_decode_time_chunked(&plan, 1.0, 1, 4, 0.0);
-        assert!((s1 - 1.0).abs() < 1e-9);
     }
 }

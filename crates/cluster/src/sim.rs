@@ -39,7 +39,7 @@ use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::{channel_pair, Transport};
 use crate::worker::Worker;
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{DecoderConfig, ExecutableWirePlan, RepairService};
+use ppm_core::{DecoderConfig, PlanTape, RepairService};
 use ppm_gf::GfWord;
 use ppm_stripe::{random_data_stripe, Stripe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -131,7 +131,7 @@ pub struct SimConfig {
     pub sector_bytes: usize,
     /// Seed for damage placement, scenario drawing, and stripe contents.
     pub seed: u64,
-    /// Thread budget for every decoder in the simulation.
+    /// Thread budget for every executor in the simulation.
     pub threads: usize,
     /// Frame envelope version on the links: `2` seals every frame with
     /// a CRC and sequence number, `1` sends raw payloads (the legacy
@@ -379,7 +379,7 @@ struct Coordinator<'a, W: GfWord, C: ErasureCode<W>> {
     service: &'a RepairService<W, &'a C>,
     links: Vec<Link>,
     shipped: HashSet<(usize, String)>,
-    compiled: HashMap<String, ExecutableWirePlan<W>>,
+    compiled: HashMap<String, PlanTape<W>>,
     policy: RetryPolicy,
     version: u8,
     jitter: StdRng,

@@ -8,7 +8,7 @@ use crate::frame::{seal_v2, unseal, Unsealed};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::Transport;
 use ppm_codes::StripeLayout;
-use ppm_core::{DecoderConfig, ExecutableWirePlan, Executor, WirePlan};
+use ppm_core::{DecoderConfig, Executor, PlanTape, WirePlan};
 use ppm_gf::{Backend, GfWord};
 use ppm_stripe::Stripe;
 use std::collections::HashMap;
@@ -41,7 +41,7 @@ pub struct Worker<W: GfWord> {
     stripes: HashMap<u64, Stripe>,
     executor: Executor,
     backend: Backend,
-    plans: HashMap<String, ExecutableWirePlan<W>>,
+    plans: HashMap<String, PlanTape<W>>,
     /// Stripes repaired through the split path whose verify pass waits
     /// for the coordinator's phase-B install, mapped to the plan that
     /// will verify them.
@@ -363,7 +363,7 @@ impl<W: GfWord> Worker<W> {
 /// retained no surplus rows).
 fn verified_rows<W: GfWord>(
     executor: &Executor,
-    plan: &ExecutableWirePlan<W>,
+    plan: &PlanTape<W>,
     stripe: &Stripe,
 ) -> Result<Vec<u32>, String> {
     let report = executor

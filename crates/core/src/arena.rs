@@ -1,9 +1,9 @@
 //! Scratch-buffer recycling for the decode executor.
 //!
-//! Every decode needs working space: one buffer per recovered sector, plus
-//! (under the Normal sequence) one accumulator for `S·BS`. The seed
-//! executor allocated these inside `run_subplan` on every call, so a
-//! repair session decoding ten thousand stripes paid ten thousand rounds
+//! Every decode needs working space: one reservation per tape segment,
+//! holding the recovered sectors plus (under the Normal sequence) the
+//! `S·BS` accumulators. Allocating these on every call would make a
+//! repair session decoding ten thousand stripes pay ten thousand rounds
 //! of allocator traffic for identically-sized buffers. [`ScratchArena`]
 //! keeps returned buffers and lends them back out, turning steady-state
 //! decode into a zero-allocation loop.
@@ -11,7 +11,7 @@
 //! The arena is built for many concurrent workers: buffers are parked in
 //! per-thread-affine shards (so the warm path rarely crosses a lock
 //! another worker holds), reuse prefers the best-fitting capacity (so a
-//! 64-byte take can never pin a multi-MiB chunked-decode buffer), and the
+//! 64-byte take can never pin a multi-MiB buffer), and the
 //! total bytes parked across all shards are capped (so a burst of large
 //! decodes cannot strand unbounded memory in the pool).
 

@@ -394,13 +394,7 @@ impl<W: GfWord> PlanCache<W> {
     /// entry if the cache is over capacity. Does not touch the hit/miss
     /// counters (pair with [`PlanCache::get`], or use
     /// [`PlanCache::get_or_build`]).
-    ///
-    /// Insertion compiles the plan's instruction tape
-    /// ([`DecodePlan::ensure_tape`]): the lowering is matrix-free
-    /// bookkeeping that belongs with the one-time plan cost, so every
-    /// warm hit finds the tape ready and pays pure region arithmetic.
     pub fn insert(&self, key: PlanKey, plan: Arc<DecodePlan<W>>) {
-        plan.ensure_tape();
         let shard = self.shard_for(&key);
         let entry = Entry {
             plan,

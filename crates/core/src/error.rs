@@ -1,7 +1,7 @@
 //! The repair-error taxonomy.
 //!
 //! Every fallible entry point of this crate — plan construction, decode,
-//! chunked/batch execution, verification, escalation — reports through
+//! batch execution, verification, escalation — reports through
 //! [`RepairError`]. The taxonomy is the robustness contract of the
 //! verified-repair pipeline: bad geometry, mislabeled scenarios, corrupt
 //! inputs and exhausted escalation all surface as structured variants, so
@@ -50,12 +50,17 @@ pub enum RepairError {
         /// What the stripe provides.
         actual: usize,
     },
-    /// A chunked decode was asked for an unusable chunk size (zero or not
-    /// a multiple of the 8-byte XOR word).
-    BadChunkSize {
-        /// The rejected chunk size in bytes.
-        chunk_bytes: usize,
-    },
+    /// A lowered instruction tape broke an execution invariant (slot
+    /// bounds, run-head discipline, slot coverage, or the predicted
+    /// cost). Reported by plan build instead of executing a tape the
+    /// runner's unzeroed-scratch fast path cannot trust.
+    MalformedTape(&'static str),
+    /// [`Executor::finish_rest`](crate::Executor::finish_rest) was handed
+    /// a plan whose `H_rest` reads stripe sectors directly (the
+    /// matrix-first sequence), so it cannot be finished from partial-sum
+    /// blocks alone — a survivor that reports otherwise is buggy or
+    /// forged.
+    RestNotSplittable,
     /// The recovered stripe failed the surplus-row parity check: the
     /// listed parity-check rows of `H` (global row indices) are violated,
     /// meaning at least one "surviving" input block is corrupt — and
@@ -113,12 +118,11 @@ impl std::fmt::Display for RepairError {
             RepairError::GeometryMismatch { expected, actual } => {
                 write!(f, "stripe has {actual} sectors, plan expects {expected}")
             }
-            RepairError::BadChunkSize { chunk_bytes } => {
-                write!(
-                    f,
-                    "chunk size {chunk_bytes} must be a positive multiple of 8"
-                )
-            }
+            RepairError::MalformedTape(what) => write!(f, "malformed plan tape: {what}"),
+            RepairError::RestNotSplittable => write!(
+                f,
+                "H_rest reads stripe sectors directly and cannot be finished from partial sums"
+            ),
             RepairError::VerificationFailed { violated_rows } => {
                 write!(
                     f,
@@ -169,8 +173,11 @@ mod tests {
             actual: 48,
         };
         assert!(e.to_string().contains("48") && e.to_string().contains("64"));
-        let e = RepairError::BadChunkSize { chunk_bytes: 12 };
-        assert!(e.to_string().contains("12"));
+        let e = RepairError::MalformedTape("slot written by two run heads");
+        assert!(e.to_string().contains("two run heads"));
+        assert!(RepairError::RestNotSplittable
+            .to_string()
+            .contains("partial sums"));
         let e = RepairError::VerificationFailed {
             violated_rows: vec![3, 7],
         };

@@ -1,14 +1,19 @@
-//! The execution half of the planner/executor split: runs plans against
-//! locally held sectors.
+//! The execution half of the planner/executor split: runs compiled plan
+//! tapes against locally held sectors.
 //!
 //! An [`Executor`] owns everything a decode's *data path* needs — the
-//! pooled [`Decoder`], a one-thread sibling for inter-stripe workers,
-//! the [`ScratchArena`] of recycled buffers, and the [`ExecMode`]
-//! tape/graph switch — and nothing the *planning* path needs: no code,
+//! bounded thread pool for the paper's intra-stripe parallelism, the
+//! serial lane inter-stripe workers decode on, and the [`ScratchArena`]
+//! of recycled buffers — and nothing the *planning* path needs: no code,
 //! no parity-check matrix, no plan cache. It can therefore run on a
 //! machine that has never seen the code, executing [`WirePlan`]s a
 //! coordinator sent over ([`Executor::execute_wire`]), or serve as the
 //! in-process engine behind [`RepairService`](crate::RepairService).
+//!
+//! Every entry point replays a [`PlanTape`] through the one runner in
+//! [`crate::exec`]: [`Executor::decode`] and [`Executor::verify`] run the
+//! tape a [`DecodePlan`] was compiled to, the `*_wire` entry points run a
+//! tape compiled from a [`WirePlan`](crate::WirePlan).
 //!
 //! The cluster-facing entry points implement *partial-block repair*:
 //! [`Executor::wire_partials`] runs the phase-A segments locally and,
@@ -22,60 +27,63 @@
 
 use crate::arena::ScratchArena;
 use crate::exec::{
-    give_bufs, install_tape_outputs, run_tape_section, run_tape_segment, run_verify_runs,
-    take_buf_dirty, Decoder, DecoderConfig, VerifyReport,
+    install_tape_outputs, run_tape_section, run_tape_segment, run_verify_runs, DecoderConfig,
+    VerifyReport,
 };
 use crate::plan::DecodePlan;
-use crate::service::ExecMode;
-use crate::stats::ExecStats;
-use crate::tape::Loc;
-use crate::wire::ExecutableWirePlan;
+use crate::stats::{ExecStats, SubPlanStats};
+use crate::tape::{Loc, PlanTape};
 use crate::DecodeError;
 use ppm_gf::GfWord;
 use ppm_stripe::Stripe;
+use rayon::prelude::*;
+use std::time::Instant;
 
-/// The data-path half of a repair session: decoder(s), scratch arena,
-/// and execution mode. See the module docs.
+/// The data-path half of a repair session: thread pool, serial lane and
+/// scratch arena. See the module docs.
 pub struct Executor {
-    decoder: Decoder,
-    /// A one-thread decoder for inter-stripe workers: when each worker
-    /// owns a whole stripe there is nothing left to parallelize inside
-    /// it, and a serial decoder reports its thread budget honestly.
-    serial: Decoder,
+    config: DecoderConfig,
+    /// Pool for phase A's independent segments; `None` when
+    /// `config.threads == 1`.
+    pool: Option<rayon::ThreadPool>,
     arena: ScratchArena,
-    exec: ExecMode,
+}
+
+/// Per-phase executed work of one tape run.
+struct PhaseStats {
+    phase_a: Vec<SubPlanStats>,
+    phase_a_nanos: u128,
+    phase_b: Option<SubPlanStats>,
 }
 
 impl Executor {
-    /// Creates an executor with its own pooled decoder, serial sibling,
-    /// and empty arena, on [`ExecMode::Tape`].
+    /// Creates an executor with an empty arena; builds its thread pool
+    /// when `threads > 1`.
+    ///
+    /// # Panics
+    /// Panics if `threads` is zero or the pool cannot be created. This is
+    /// the one deliberate panic in the module: a zero-thread executor is
+    /// a configuration bug, not a data-path fault.
+    #[allow(clippy::expect_used)]
     pub fn new(config: DecoderConfig) -> Self {
+        assert!(config.threads > 0, "executor needs at least one thread");
+        let pool = (config.threads > 1).then(|| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(config.threads)
+                .thread_name(|i| format!("ppm-decode-{i}"))
+                .build()
+                .expect("thread pool creation")
+        });
         Executor {
-            decoder: Decoder::new(config),
-            serial: Decoder::new(DecoderConfig {
-                threads: 1,
-                ..config
-            }),
+            config,
+            pool,
             arena: ScratchArena::new(),
-            exec: ExecMode::Tape,
         }
     }
 
-    /// Sets the execution path used for decodes (see
-    /// [`RepairService::with_exec_mode`](crate::RepairService::with_exec_mode)).
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.exec = mode;
-        self
-    }
-
-    /// The pooled decoder.
-    pub fn decoder(&self) -> &Decoder {
-        &self.decoder
-    }
-
-    /// The one-thread decoder inter-stripe batch workers use.
-    pub(crate) fn serial(&self) -> &Decoder {
-        &self.serial
+    /// The configuration this executor was built with.
+    pub fn config(&self) -> DecoderConfig {
+        self.config
     }
 
     /// The executor's scratch-buffer arena.
@@ -83,131 +91,226 @@ impl Executor {
         &self.arena
     }
 
-    /// The execution path used for decodes.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
-    /// Decodes one stripe through `decoder` on the configured execution
-    /// mode, borrowing scratch from the executor's arena.
-    pub(crate) fn decode_via<W: GfWord>(
-        &self,
-        decoder: &Decoder,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-    ) -> Result<ExecStats, DecodeError> {
-        match self.exec {
-            ExecMode::Tape => decoder.decode_tape_with_stats_in(plan, stripe, &self.arena),
-            ExecMode::Graph => decoder.decode_with_stats_in(plan, stripe, &self.arena),
-        }
-    }
-
-    /// Decodes one stripe with the pooled decoder (the paper's
-    /// intra-stripe parallelism over independent sub-matrices).
+    /// Decodes one stripe in place, overwriting the faulty sectors with
+    /// their recovered contents: phase A's independent segments run on
+    /// the thread pool (the paper's intra-stripe parallelism), then the
+    /// `H_rest` segment. Scratch comes from the arena, so a warm decode
+    /// performs no heap allocation on the data path.
+    ///
+    /// Returns [`ExecStats`]: per-segment executed `mult_XORs` / plain-XOR
+    /// / byte counts straight from the region kernels, per-phase wall
+    /// times, and the plan's predicted costs — the runtime cross-check of
+    /// the §III-B cost model.
+    ///
+    /// # Errors
+    /// [`RepairError::GeometryMismatch`](crate::RepairError::GeometryMismatch)
+    /// when the stripe does not match the plan.
     pub fn decode<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
-        self.decode_via(&self.decoder, plan, stripe)
+        self.decode_on(self.pool.as_ref(), plan, stripe)
     }
 
-    /// Verifies a recovered stripe against the plan's surplus rows,
-    /// borrowing the accumulator from the arena.
+    /// [`Executor::decode`] on the serial lane, for inter-stripe workers:
+    /// when each worker owns a whole stripe there is nothing left to
+    /// parallelize inside it, and the stats report a budget of 1.
+    pub(crate) fn decode_serial<W: GfWord>(
+        &self,
+        plan: &DecodePlan<W>,
+        stripe: &mut Stripe,
+    ) -> Result<ExecStats, DecodeError> {
+        self.decode_on(None, plan, stripe)
+    }
+
+    fn decode_on<W: GfWord>(
+        &self,
+        pool: Option<&rayon::ThreadPool>,
+        plan: &DecodePlan<W>,
+        stripe: &mut Stripe,
+    ) -> Result<ExecStats, DecodeError> {
+        let started = Instant::now();
+        let run = self.run_tape(pool, plan.tape(), stripe)?;
+        Ok(ExecStats {
+            strategy: plan.strategy(),
+            threads: if pool.is_some() {
+                self.config.threads
+            } else {
+                1
+            },
+            parallelism: plan.parallelism(),
+            predicted_mult_xors: plan.mult_xors(),
+            predicted_costs: plan.predicted_costs(),
+            cache: None,
+            arena: None,
+            phase_a: run.phase_a,
+            phase_a_nanos: run.phase_a_nanos,
+            phase_b: run.phase_b,
+            verify: None,
+            update: None,
+            total_nanos: started.elapsed().as_nanos(),
+        })
+    }
+
+    /// Runs the surplus-row verification pass: re-evaluates every
+    /// parity-check row of `H` the plan did *not* consume as part of `F`
+    /// against the (recovered) stripe. The decode satisfies its consumed
+    /// rows by construction, so a non-zero surplus row is independent
+    /// evidence that a *surviving* input block is corrupt.
+    ///
+    /// Each row replays as one fused tape run through the plan's region
+    /// kernels, so the executed `mult_XORs` land in
+    /// [`VerifyReport::stats`] in the same unit as the decode ledger and
+    /// equal [`DecodePlan::verify_mult_xors`] exactly.
+    ///
+    /// # Errors
+    /// [`RepairError::VerificationUnavailable`](crate::RepairError::VerificationUnavailable)
+    /// for restricted (degraded-read) plans, and
+    /// [`RepairError::GeometryMismatch`](crate::RepairError::GeometryMismatch)
+    /// when the stripe does not match the plan. A report with violated
+    /// rows is *not* an error here — deciding what to do about it is the
+    /// caller's (typically the escalation loop's) job.
     pub fn verify<W: GfWord>(
         &self,
         plan: &DecodePlan<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        self.decoder.verify_in(plan, stripe, &self.arena)
-    }
-
-    fn check_geometry(&self, expected: usize, stripe: &Stripe) -> Result<(), DecodeError> {
-        if stripe.layout().sectors() != expected {
-            return Err(DecodeError::GeometryMismatch {
-                expected,
-                actual: stripe.layout().sectors(),
-            });
+        if !plan.supports_verify() {
+            return Err(DecodeError::VerificationUnavailable);
         }
-        Ok(())
+        self.verify_tape(plan.tape(), stripe)
     }
 
     /// Executes a compiled wire plan fully against a locally held stripe:
-    /// phase-A segments through the decoder's thread pool, then the
-    /// `H_rest` segment. Bit-identical to the in-process tape path for
-    /// the plan the wire encoding came from.
+    /// the same runner as [`Executor::decode`]. Bit-identical to the
+    /// in-process decode of the plan the wire encoding came from.
     pub fn execute_wire<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         stripe: &mut Stripe,
     ) -> Result<(), DecodeError> {
-        self.check_geometry(wire.total_sectors(), stripe)?;
-        let arena = Some(&self.arena);
-        let flats = self
-            .decoder
-            .run_segments_pooled(&wire.phase_a, stripe, arena);
-        for (seg, flat) in wire.phase_a.iter().zip(flats) {
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        if let Some(seg) = &wire.phase_b {
-            let flat = run_tape_segment(seg, stripe, None, arena);
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        Ok(())
+        self.run_tape(self.pool.as_ref(), tape, stripe).map(|_| ())
+    }
+
+    /// Verifies a locally held stripe against a wire plan's surplus
+    /// rows. A plan carrying no verify rows reports zero `rows_checked`
+    /// (vacuously clean) — the wire encoding cannot distinguish "surplus
+    /// not retained" from "no surplus rows existed".
+    pub fn verify_wire<W: GfWord>(
+        &self,
+        tape: &PlanTape<W>,
+        stripe: &Stripe,
+    ) -> Result<VerifyReport, DecodeError> {
+        self.verify_tape(tape, stripe)
+    }
+
+    fn verify_tape<W: GfWord>(
+        &self,
+        tape: &PlanTape<W>,
+        stripe: &Stripe,
+    ) -> Result<VerifyReport, DecodeError> {
+        check_geometry(tape, stripe)?;
+        Ok(run_verify_runs(&tape.verify, stripe, &self.arena))
+    }
+
+    /// The one tape runner: phase A, then the `H_rest` segment.
+    fn run_tape<W: GfWord>(
+        &self,
+        pool: Option<&rayon::ThreadPool>,
+        tape: &PlanTape<W>,
+        stripe: &mut Stripe,
+    ) -> Result<PhaseStats, DecodeError> {
+        check_geometry(tape, stripe)?;
+        let started = Instant::now();
+        let phase_a = self.run_phase_a(pool, tape, stripe);
+        let phase_a_nanos = started.elapsed().as_nanos();
+        let phase_b = tape.phase_b.as_ref().map(|seg| {
+            let (flat, stats) = run_tape_segment(seg, stripe, &self.arena);
+            install_tape_outputs(seg, flat, stripe, &self.arena);
+            stats
+        });
+        Ok(PhaseStats {
+            phase_a,
+            phase_a_nanos,
+            phase_b,
+        })
+    }
+
+    /// Runs the independent phase-A segments — through `pool` when there
+    /// is one and more than one segment, serially otherwise — and
+    /// installs their outputs.
+    fn run_phase_a<W: GfWord>(
+        &self,
+        pool: Option<&rayon::ThreadPool>,
+        tape: &PlanTape<W>,
+        stripe: &mut Stripe,
+    ) -> Vec<SubPlanStats> {
+        let arena = &self.arena;
+        let shared: &Stripe = stripe;
+        let results: Vec<(Vec<u8>, SubPlanStats)> = match pool {
+            Some(pool) if tape.phase_a.len() > 1 => pool.install(|| {
+                tape.phase_a
+                    .par_iter()
+                    .map(|seg| run_tape_segment(seg, shared, arena))
+                    .collect()
+            }),
+            _ => tape
+                .phase_a
+                .iter()
+                .map(|seg| run_tape_segment(seg, shared, arena))
+                .collect(),
+        };
+        tape.phase_a
+            .iter()
+            .zip(results)
+            .map(|(seg, (flat, stats))| {
+                install_tape_outputs(seg, flat, stripe, arena);
+                stats
+            })
+            .collect()
     }
 
     /// The survivor side of partial-block repair: runs the wire plan's
     /// phase-A segments against the locally held stripe (installing their
     /// recovered sectors in place) and then, if the plan's `H_rest` is
-    /// [splittable](ExecutableWirePlan::rest_splittable), computes only
-    /// its partial-sum `T` blocks — the payload that crosses the wire.
-    /// A non-splittable `H_rest` (matrix-first, reads sectors directly)
-    /// is finished locally instead, so nothing ships either way except
-    /// when splitting genuinely pays.
+    /// [splittable](PlanTape::rest_splittable), computes only its
+    /// partial-sum `T` blocks — the payload that crosses the wire. A
+    /// non-splittable `H_rest` (matrix-first, reads sectors directly) is
+    /// finished locally instead, so nothing ships either way except when
+    /// splitting genuinely pays.
     ///
     /// Returns [`WirePartials`]: `rest_pending == true` means the
     /// aggregator must run [`Executor::finish_rest`] over `rest_blocks`
     /// and send the recovered sectors back; `false` means the stripe is
     /// already fully repaired locally.
     //
-    // Slicing is safe by `WirePlan::compile` validation: the scratch
-    // boundary is inside the instruction list, zero slots are inside the
-    // reservation, and the scratch region is exactly `scratch_slots`
-    // sectors long.
+    // Slicing is safe by tape validation: the scratch boundary is inside
+    // the instruction list, zero slots are inside the reservation, and
+    // the scratch region is exactly `scratch_slots` sectors long.
     #[allow(clippy::indexing_slicing)]
     pub fn wire_partials<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         stripe: &mut Stripe,
     ) -> Result<WirePartials, DecodeError> {
-        self.check_geometry(wire.total_sectors(), stripe)?;
-        let arena = Some(&self.arena);
-        let flats = self
-            .decoder
-            .run_segments_pooled(&wire.phase_a, stripe, arena);
-        for (seg, flat) in wire.phase_a.iter().zip(flats) {
-            install_tape_outputs(seg, flat, stripe, arena);
-        }
-        let Some(seg) = &wire.phase_b else {
-            return Ok(WirePartials {
-                rest_blocks: Vec::new(),
-                rest_pending: false,
-            });
+        let done = WirePartials {
+            rest_blocks: Vec::new(),
+            rest_pending: false,
         };
-        if !wire.rest_splittable() {
-            let flat = run_tape_segment(seg, stripe, None, arena);
-            install_tape_outputs(seg, flat, stripe, arena);
-            return Ok(WirePartials {
-                rest_blocks: Vec::new(),
-                rest_pending: false,
-            });
-        }
+        let Some(seg) = tape.phase_b.as_ref().filter(|_| tape.rest_splittable()) else {
+            // Nothing to split: run the whole tape here.
+            self.run_tape(self.pool.as_ref(), tape, stripe)?;
+            return Ok(done);
+        };
+        check_geometry(tape, stripe)?;
+        self.run_phase_a(self.pool.as_ref(), tape, stripe);
 
         // Splittable H_rest: compute the scratch (T) section only — the
         // sums over locally held sectors. The output section (F⁻¹ · T)
         // belongs to the aggregator.
         let sb = stripe.sector_bytes();
-        let mut scratch = take_buf_dirty(arena, seg.scratch_slots * sb);
+        let mut scratch = self.arena.take_dirty(seg.scratch_slots * sb);
         for &slot in &seg.zero_slots {
             if slot < seg.scratch_slots {
                 scratch[slot * sb..(slot + 1) * sb].fill(0);
@@ -217,7 +320,7 @@ impl Executor {
             &seg.instrs[..seg.scratch_boundary],
             |loc| match loc {
                 Loc::Sector(s) => stripe.sector(s),
-                // Compile invariant: the scratch section reads sectors only.
+                // Tape invariant: the scratch section reads sectors only.
                 Loc::Slot(_) => unreachable!("scratch section reads sectors only"),
             },
             &mut scratch,
@@ -226,7 +329,7 @@ impl Executor {
             None,
         );
         let rest_blocks = scratch.chunks_exact(sb).map(<[u8]>::to_vec).collect();
-        give_bufs(arena, [scratch]);
+        self.arena.give(scratch);
         Ok(WirePartials {
             rest_blocks,
             rest_pending: true,
@@ -239,33 +342,31 @@ impl Executor {
     /// the `T` blocks — the aggregator never holds the stripe.
     ///
     /// # Errors
+    /// [`RestNotSplittable`](crate::RepairError::RestNotSplittable) when
+    /// the plan's `H_rest` reads stripe sectors (a survivor claiming
+    /// otherwise is buggy or forged),
     /// [`GeometryMismatch`](crate::RepairError::GeometryMismatch) when
     /// the block count differs from the plan's scratch slots, and
     /// [`SectorLengthMismatch`](crate::RepairError::SectorLengthMismatch)
     /// when a block is not exactly `sector_bytes` long.
-    ///
-    /// # Panics
-    /// Panics if the plan's `H_rest` is not splittable — callers route on
-    /// [`WirePartials::rest_pending`].
     //
-    // Slicing is safe by `WirePlan::compile` validation plus the length
-    // checks above: every `Slot` source is below `scratch_slots`, every
-    // block is `sector_bytes` long, and the output reservation is exactly
+    // Slicing is safe by tape validation plus the checks above: every
+    // `Slot` source is below `scratch_slots`, every block is
+    // `sector_bytes` long, and the output reservation is exactly
     // `outputs.len()` sectors.
     #[allow(clippy::indexing_slicing)]
     pub fn finish_rest<W: GfWord>(
         &self,
-        wire: &ExecutableWirePlan<W>,
+        tape: &PlanTape<W>,
         rest_blocks: &[Vec<u8>],
         sector_bytes: usize,
     ) -> Result<Vec<(usize, Vec<u8>)>, DecodeError> {
-        let Some(seg) = &wire.phase_b else {
+        let Some(seg) = &tape.phase_b else {
             return Ok(Vec::new());
         };
-        assert!(
-            wire.rest_splittable(),
-            "finish_rest on a non-splittable H_rest"
-        );
+        if !tape.rest_splittable() {
+            return Err(DecodeError::RestNotSplittable);
+        }
         if rest_blocks.len() != seg.scratch_slots {
             return Err(DecodeError::GeometryMismatch {
                 expected: seg.scratch_slots,
@@ -283,8 +384,7 @@ impl Executor {
         }
 
         let sb = sector_bytes;
-        let arena = Some(&self.arena);
-        let mut outs = take_buf_dirty(arena, seg.outputs.len() * sb);
+        let mut outs = self.arena.take_dirty(seg.outputs.len() * sb);
         for &slot in &seg.zero_slots {
             if slot >= seg.scratch_slots {
                 let off = (slot - seg.scratch_slots) * sb;
@@ -309,22 +409,20 @@ impl Executor {
             .enumerate()
             .map(|(i, &(_, sector))| (sector, outs[i * sb..(i + 1) * sb].to_vec()))
             .collect();
-        give_bufs(arena, [outs]);
+        self.arena.give(outs);
         Ok(recovered)
     }
+}
 
-    /// Verifies a locally held stripe against a wire plan's surplus
-    /// rows. A plan carrying no verify rows reports zero `rows_checked`
-    /// (vacuously clean) — the wire encoding cannot distinguish "surplus
-    /// not retained" from "no surplus rows existed".
-    pub fn verify_wire<W: GfWord>(
-        &self,
-        wire: &ExecutableWirePlan<W>,
-        stripe: &Stripe,
-    ) -> Result<VerifyReport, DecodeError> {
-        self.check_geometry(wire.total_sectors(), stripe)?;
-        Ok(run_verify_runs(&wire.verify, stripe, Some(&self.arena)))
+/// Rejects a stripe whose sector count differs from the tape's geometry.
+fn check_geometry<W: GfWord>(tape: &PlanTape<W>, stripe: &Stripe) -> Result<(), DecodeError> {
+    if stripe.layout().sectors() != tape.total_sectors() {
+        return Err(DecodeError::GeometryMismatch {
+            expected: tape.total_sectors(),
+            actual: stripe.layout().sectors(),
+        });
     }
+    Ok(())
 }
 
 /// What a survivor produced from its portion of a wire plan (see
@@ -343,9 +441,47 @@ pub struct WirePartials {
 impl std::fmt::Debug for Executor {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Executor")
-            .field("exec", &self.exec)
-            .field("threads", &self.decoder.config().threads)
+            .field("threads", &self.config.threads)
+            .field("backend", &self.config.backend)
             .field("arena", &self.arena)
             .finish()
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::{Strategy, WirePlan};
+    use ppm_codes::{ErasureCode, FailureScenario, SdCode};
+    use ppm_gf::Backend;
+
+    /// A forged `rest_pending` response for a matrix-first plan must not
+    /// take the aggregator down: `finish_rest` refuses with a typed error.
+    #[test]
+    fn finish_rest_rejects_a_non_splittable_rest() {
+        let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
+        let h = code.parity_check_matrix();
+        let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
+        let plan =
+            DecodePlan::build(&h, &sc, Strategy::PpmMatrixFirstRest, Backend::Scalar).unwrap();
+        let tape = WirePlan::from_plan(&plan)
+            .compile::<u8>(Backend::Scalar)
+            .unwrap();
+        assert!(tape.has_phase_b() && !tape.rest_splittable());
+        let exec = Executor::new(DecoderConfig {
+            threads: 1,
+            backend: Backend::Scalar,
+        });
+        let forged = vec![vec![0u8; 64]; 2];
+        assert_eq!(
+            exec.finish_rest(&tape, &forged, 64).unwrap_err(),
+            DecodeError::RestNotSplittable
+        );
+        // The in-process tape of the same plan is refused the same way.
+        assert_eq!(
+            exec.finish_rest(plan.tape(), &forged, 64).unwrap_err(),
+            DecodeError::RestNotSplittable
+        );
     }
 }

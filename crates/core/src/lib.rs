@@ -17,9 +17,12 @@
 //! 3. [`DecodePlan`] — per sub-matrix, pick a calculation sequence
 //!    (*normal*: `F⁻¹·(S·BS)`; *matrix-first*: `(F⁻¹·S)·BS`) minimizing
 //!    the mult_XORs count, using the [`cost`] model `C₁..C₄`.
-//! 4. [`Decoder`] — execute: the `p` independent sub-plans run on `T ≤ p`
+//! 4. [`PlanTape`] — lower the plan to flat instruction tapes, one
+//!    segment per sub-matrix, validated at build.
+//! 5. [`Executor`] — execute: the `p` independent segments run on `T ≤ p`
 //!    threads; once they finish, their recovered blocks join the surviving
-//!    blocks to decode `H_rest`.
+//!    blocks to decode `H_rest`. [`Executor::decode`] and
+//!    [`Executor::verify`] are the one way to decode and to verify.
 //!
 //! The traditional baseline ([`Strategy::TraditionalNormal`] /
 //! [`Strategy::TraditionalMatrixFirst`]) runs the same machinery without
@@ -33,7 +36,7 @@
 //!
 //! ```
 //! use ppm_codes::{ErasureCode, FailureScenario, SdCode};
-//! use ppm_core::{encode, parity_consistent, Decoder, DecoderConfig, Strategy};
+//! use ppm_core::{encode, parity_consistent, DecodePlan, DecoderConfig, Executor, Strategy};
 //! use ppm_stripe::random_data_stripe;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
@@ -42,20 +45,21 @@
 //! let mut rng = StdRng::seed_from_u64(1);
 //! let mut stripe = random_data_stripe(&code, 4096, &mut rng);
 //!
-//! let decoder = Decoder::new(DecoderConfig::default());
-//! encode(&code, &decoder, &mut stripe).unwrap();
+//! let config = DecoderConfig::default();
+//! let executor = Executor::new(config);
+//! encode(&code, &executor, &mut stripe).unwrap();
 //! assert!(parity_consistent(&code.parity_check_matrix(), &stripe, Default::default()));
 //!
 //! // Figure 2/3's failure scenario: b2, b6, b10, b13, b14.
 //! let pristine = stripe.clone();
 //! let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
 //! stripe.erase(&scenario);
-//! let plan = decoder
-//!     .plan(&code.parity_check_matrix(), &scenario, Strategy::PpmAuto)
-//!     .unwrap();
+//! let h = code.parity_check_matrix();
+//! let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, config.backend).unwrap();
 //! assert_eq!(plan.parallelism(), 3); // b2, b6, b10 are independent
-//! decoder.decode(&plan, &mut stripe).unwrap();
+//! let stats = executor.decode(&plan, &mut stripe).unwrap();
 //! assert_eq!(stripe, pristine);
+//! assert!(stats.matches_prediction()); // executed == predicted mult_XORs
 //! ```
 
 #![forbid(unsafe_code)]
@@ -80,14 +84,14 @@ mod wire;
 pub use arena::{ArenaStats, ScratchArena};
 pub use cache::{PlanCache, PlanCacheStats, PlanKey};
 pub use error::{DecodeError, RepairError};
-pub use exec::{encode, parity_consistent, Decoder, DecoderConfig, VerifyReport};
+pub use exec::{encode, parity_consistent, DecoderConfig, VerifyReport};
 pub use executor::{Executor, WirePartials};
 pub use logtable::{LogTable, LogTableRow};
 pub use partition::{ParallelismCase, Partition, SubSystem};
 pub use plan::{CalcSequence, DecodePlan, Strategy};
 pub use planner::Planner;
-pub use service::{BatchReport, ExecMode, RepairService};
+pub use service::{BatchReport, RepairService};
 pub use stats::{ExecStats, SubPlanStats, UpdateStats, VerifyStats};
 pub use tape::PlanTape;
 pub use update::UpdatePlan;
-pub use wire::{ExecutableWirePlan, WireError, WirePlan, WIRE_VERSION};
+pub use wire::{WireError, WirePlan, WIRE_VERSION};

@@ -4,18 +4,20 @@
 //! A [`DecodePlan`] captures Steps 1–3 of both the traditional method and
 //! PPM (derive/partition `H`, extract `F` and `S`, invert, choose a
 //! calculation sequence) as straight-line *programs* of `mult_XORs`
-//! region operations. Executing a plan (see [`Decoder`](crate::Decoder))
-//! touches only sector buffers — mirroring the paper's observation that
-//! the matrix manipulation is negligible next to the region arithmetic
-//! (footnote 2), so the plan may be amortized or rebuilt per decode
-//! without affecting the comparison.
+//! region operations, lowered once to a [`PlanTape`]. Executing a plan
+//! (see [`Executor`](crate::Executor)) touches only sector buffers —
+//! mirroring the paper's observation that the matrix manipulation is
+//! negligible next to the region arithmetic (footnote 2), so the plan
+//! may be amortized or rebuilt per decode without affecting the
+//! comparison.
 
+use crate::tape::PlanTape;
 use crate::{DecodeError, Partition};
 use ppm_codes::FailureScenario;
 use ppm_gf::{Backend, GfWord, RegionMul};
 use ppm_matrix::Matrix;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// The two orders in which `F⁻¹ · S · BS` can be evaluated (paper §II-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -258,13 +260,8 @@ impl<W: GfWord> RegionCache<W> {
         RegionCache { map }
     }
 
-    /// Looks up the multiplier for `c` (must have been collected at build).
-    pub(crate) fn get(&self, c: W) -> &RegionMul<W> {
-        &self.map[&c.to_u64()]
-    }
-
-    /// Like [`RegionCache::get`], but hands out a shared handle — the tape
-    /// compiler embeds these in its instructions.
+    /// The shared multiplier for `c` (must have been collected at build)
+    /// — the tape compiler embeds these handles in its instructions.
     pub(crate) fn get_arc(&self, c: W) -> Arc<RegionMul<W>> {
         Arc::clone(&self.map[&c.to_u64()])
     }
@@ -272,10 +269,11 @@ impl<W: GfWord> RegionCache<W> {
 
 /// A complete, executable decoding plan for one failure scenario.
 ///
-/// Build with [`DecodePlan::build`] (or via
-/// [`Decoder::plan`](crate::Decoder::plan)), execute with
-/// [`Decoder::decode`](crate::Decoder::decode). The plan is immutable and
-/// `Sync`; one plan can decode any number of stripes of the same geometry.
+/// Build with [`DecodePlan::build`], execute with
+/// [`Executor::decode`](crate::Executor::decode). Building lowers the
+/// plan to its [`PlanTape`] and validates it, so a built plan is always
+/// executable. The plan is immutable and `Sync`; one plan can decode any
+/// number of stripes of the same geometry.
 #[derive(Debug)]
 pub struct DecodePlan<W: GfWord> {
     pub(crate) phase_a: Vec<SubPlan<W>>,
@@ -299,10 +297,9 @@ pub struct DecodePlan<W: GfWord> {
     /// (they do not materialize the full stripe, so no full parity
     /// equation can be checked).
     pub(crate) surplus: Option<Vec<SurplusRow<W>>>,
-    /// Lazily compiled linear instruction tape (see [`crate::tape`]).
-    /// Filled at most once; [`PlanCache`](crate::PlanCache) compiles it
-    /// at insert time so warm hits execute pure region arithmetic.
-    pub(crate) tape: OnceLock<crate::tape::PlanTape<W>>,
+    /// The compiled instruction tape (see [`crate::tape`]) — what the
+    /// executor actually runs.
+    tape: PlanTape<W>,
 }
 
 /// One surplus parity-check row: its global `H` row index and the
@@ -311,14 +308,22 @@ pub(crate) type SurplusRow<W> = (usize, Vec<(W, usize)>);
 
 impl<W: GfWord> DecodePlan<W> {
     /// Builds a plan for recovering `scenario` under parity-check matrix
-    /// `h`, using `strategy` and preparing region tables for `backend`.
+    /// `h`, using `strategy` and preparing region tables for `backend`,
+    /// and compiles its instruction tape.
+    ///
+    /// # Errors
+    /// [`RepairError::SectorOutOfRange`](crate::RepairError::SectorOutOfRange)
+    /// and [`RepairError::Unrecoverable`](crate::RepairError::Unrecoverable)
+    /// for scenarios the code cannot repair;
+    /// [`RepairError::MalformedTape`](crate::RepairError::MalformedTape)
+    /// if the lowered tape fails validation.
     pub fn build(
         h: &Matrix<W>,
         scenario: &FailureScenario,
         strategy: Strategy,
         backend: Backend,
     ) -> Result<DecodePlan<W>, DecodeError> {
-        Self::build_with(h, scenario, strategy, backend, None)
+        Self::build_with(h, scenario, strategy, backend, None)?.compiled()
     }
 
     /// Like [`DecodePlan::build`], but partitions with the SD-specific
@@ -339,7 +344,15 @@ impl<W: GfWord> DecodePlan<W> {
             });
         }
         let part = Partition::build_sd(code, h, scenario);
-        Self::build_with(h, scenario, strategy, backend, Some(&part))
+        Self::build_with(h, scenario, strategy, backend, Some(&part))?.compiled()
+    }
+
+    /// Lowers the plan to its tape. Private builders leave the tape
+    /// empty so the `PpmAuto` sweep compiles only its winning candidate;
+    /// every public constructor ends here.
+    fn compiled(mut self) -> Result<Self, DecodeError> {
+        self.tape = PlanTape::compile(&self)?;
+        Ok(self)
     }
 
     fn build_with(
@@ -513,7 +526,7 @@ impl<W: GfWord> DecodePlan<W> {
             cost,
             predicted: None,
             surplus: Some(surplus),
-            tape: OnceLock::new(),
+            tape: PlanTape::empty(),
         })
     }
 
@@ -543,12 +556,16 @@ impl<W: GfWord> DecodePlan<W> {
     /// let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
     /// let full = DecodePlan::build(&h, &scenario, Strategy::PpmNormalRest,
     ///                              Backend::Scalar).unwrap();
-    /// let read_b2 = full.restrict_to(&[2]);
+    /// let read_b2 = full.restrict_to(&[2]).unwrap();
     /// assert_eq!(read_b2.mult_xors(), 3);      // one 1x1 local repair
-    /// let read_b13 = full.restrict_to(&[13]);
+    /// let read_b13 = full.restrict_to(&[13]).unwrap();
     /// assert!(read_b13.mult_xors() < full.mult_xors());
     /// ```
-    pub fn restrict_to(&self, wanted: &[usize]) -> DecodePlan<W> {
+    ///
+    /// # Errors
+    /// [`RepairError::MalformedTape`](crate::RepairError::MalformedTape)
+    /// if the restricted plan's tape fails validation.
+    pub fn restrict_to(&self, wanted: &[usize]) -> Result<DecodePlan<W>, DecodeError> {
         let wanted: std::collections::BTreeSet<usize> = wanted
             .iter()
             .copied()
@@ -625,18 +642,15 @@ impl<W: GfWord> DecodePlan<W> {
             // A restricted decode leaves unwanted faulty sectors erased,
             // so no full parity equation can be evaluated afterwards.
             surplus: None,
-            tape: OnceLock::new(),
+            tape: PlanTape::empty(),
         }
+        .compiled()
     }
 
-    /// The plan's compiled instruction tape, compiling it on first use.
-    ///
-    /// [`PlanCache`](crate::PlanCache) calls this at insert time, so a
-    /// warm cache hit always finds the tape ready; calling it again is a
-    /// cheap read of the `OnceLock`.
-    pub fn ensure_tape(&self) -> &crate::tape::PlanTape<W> {
-        self.tape
-            .get_or_init(|| crate::tape::PlanTape::compile(self))
+    /// The plan's compiled instruction tape, lowered and validated when
+    /// the plan was built.
+    pub fn tape(&self) -> &PlanTape<W> {
+        &self.tape
     }
 
     /// The degree of parallelism `p`: how many independent sub-matrices
@@ -926,7 +940,7 @@ mod tests {
         assert_eq!(full.mult_xors(), 29);
 
         // b2 is independent: one group, 3 mult_XORs, no rest.
-        let only_b2 = full.restrict_to(&[2]);
+        let only_b2 = full.restrict_to(&[2]).unwrap();
         assert_eq!(only_b2.parallelism(), 1);
         assert_eq!(only_b2.faulty(), &[2]);
         assert!(only_b2.phase_b.is_none());
@@ -934,7 +948,7 @@ mod tests {
 
         // b13 is dependent: rest kept (outputs pruned to b13), and all
         // three independent groups retained as its inputs.
-        let only_b13 = full.restrict_to(&[13]);
+        let only_b13 = full.restrict_to(&[13]).unwrap();
         assert_eq!(only_b13.parallelism(), 3);
         assert!(only_b13.phase_b.is_some());
         assert!(only_b13.faulty().contains(&13));
@@ -942,12 +956,12 @@ mod tests {
         assert!(only_b13.mult_xors() < full.mult_xors());
 
         // Restricting to everything changes nothing material.
-        let all = full.restrict_to(&[2, 6, 10, 13, 14]);
+        let all = full.restrict_to(&[2, 6, 10, 13, 14]).unwrap();
         assert_eq!(all.mult_xors(), full.mult_xors());
         assert_eq!(all.parallelism(), full.parallelism());
 
         // Unknown sectors are ignored.
-        let none = full.restrict_to(&[0, 1]);
+        let none = full.restrict_to(&[0, 1]).unwrap();
         assert_eq!(none.mult_xors(), 0);
         assert_eq!(none.parallelism(), 0);
     }
@@ -960,7 +974,7 @@ mod tests {
         let (h, sc) = paper_case();
         let full = DecodePlan::build(&h, &sc, Strategy::PpmNormalRest, Backend::Scalar).unwrap();
         for wanted in [&[2][..], &[13], &[2, 6, 10, 13, 14]] {
-            let restricted = full.restrict_to(wanted);
+            let restricted = full.restrict_to(wanted).unwrap();
             assert!(!restricted.regions.map.is_empty(), "{wanted:?}");
             for (key, kernel) in &restricted.regions.map {
                 let parent = full
@@ -1068,7 +1082,7 @@ mod tests {
         assert_eq!(empty.verify_rows(), h.rows());
 
         // Restricted plans cannot verify.
-        let restricted = plan.restrict_to(&[2]);
+        let restricted = plan.restrict_to(&[2]).unwrap();
         assert!(!restricted.supports_verify());
         assert_eq!(restricted.verify_rows(), 0);
         assert_eq!(restricted.verify_mult_xors(), 0);
@@ -1124,7 +1138,7 @@ mod restrict_matrix_first_tests {
         let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
         let full =
             DecodePlan::build(&h, &sc, Strategy::PpmMatrixFirstRest, Backend::Scalar).unwrap();
-        let only_b14 = full.restrict_to(&[14]);
+        let only_b14 = full.restrict_to(&[14]).unwrap();
         assert!(only_b14.faulty().contains(&14));
         assert!(!only_b14.faulty().contains(&13));
         assert!(only_b14.mult_xors() < full.mult_xors());
@@ -1178,8 +1192,8 @@ mod io_tests {
         let plan = DecodePlan::build(&h, &sc, Strategy::PpmNormalRest, Backend::Scalar).unwrap();
         // All 11 surviving sectors participate in the worst case.
         assert_eq!(plan.sectors_read(), 11);
-        let restricted = plan.restrict_to(&[2]);
+        let restricted = plan.restrict_to(&[2]).unwrap();
         assert_eq!(restricted.sectors_read(), 3, "local 1x1 repair reads 3");
-        assert!(plan.restrict_to(&[13]).sectors_read() <= 11);
+        assert!(plan.restrict_to(&[13]).unwrap().sectors_read() <= 11);
     }
 }

@@ -1,11 +1,11 @@
 //! The repair session layer: one object that amortizes everything a
 //! decode can amortize.
 //!
-//! A [`Decoder`] prices and executes one decode; a [`RepairService`]
-//! owns the context that *repeats* across decodes — the code's
-//! parity-check matrix, a [`PlanCache`] of built plans keyed by erasure
-//! signature, a [`ScratchArena`] of recycled data-path buffers, and the
-//! decoder itself. Repairing a failed device is then a loop of
+//! An [`Executor`] runs one decode; a [`RepairService`] owns the context
+//! that *repeats* across decodes — the code's parity-check matrix, a
+//! [`PlanCache`] of built plans keyed by erasure signature, and the
+//! executor with its [`ScratchArena`] of recycled data-path buffers.
+//! Repairing a failed device is then a loop of
 //! [`RepairService::repair`] calls that, after the first stripe, perform
 //! zero matrix factorizations and zero plan-time allocations: the plan is
 //! an `Arc` handed back by the cache, and the working buffers cycle
@@ -23,7 +23,7 @@
 
 use crate::arena::ScratchArena;
 use crate::cache::PlanCacheStats;
-use crate::exec::{Decoder, DecoderConfig, VerifyReport};
+use crate::exec::{DecoderConfig, VerifyReport};
 use crate::executor::Executor;
 use crate::plan::{DecodePlan, Strategy};
 use crate::planner::Planner;
@@ -36,24 +36,6 @@ use ppm_stripe::Stripe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Which execution path the session's decode entry points take for a
-/// warm (cached) plan.
-///
-/// The default, [`ExecMode::Tape`], replays the plan's compiled
-/// instruction tape ([`crate::PlanTape`]) — a flat run of fused region
-/// ops with a precomputed scratch layout. [`ExecMode::Graph`] is the
-/// escape hatch back to the interpretive per-term graph walker; both
-/// paths are bit-identical and keep the same mult_XORs ledger, so the
-/// switch is purely about dispatch overhead.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExecMode {
-    /// Replay the compiled instruction tape (default).
-    #[default]
-    Tape,
-    /// Walk the plan's term graph per decode.
-    Graph,
-}
 
 /// A long-lived repair session for one erasure code.
 ///
@@ -95,8 +77,8 @@ pub struct RepairService<W: GfWord, C: ErasureCode<W>> {
     /// plan cache. Produces in-process plans and serializable
     /// [`WirePlan`](crate::WirePlan)s.
     planner: Planner<W, C>,
-    /// The execution half: pooled + serial decoders, scratch arena, and
-    /// the tape/graph switch. Never touches the code or the cache.
+    /// The execution half: thread pool, serial lane and scratch arena.
+    /// Never touches the code or the cache.
     executor: Executor,
     /// The small-write planner, built lazily on the first update and
     /// shared by every subsequent flush (one generator inversion per
@@ -132,16 +114,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         self
     }
 
-    /// Sets the execution path used for decodes: [`ExecMode::Tape`]
-    /// (default) replays the compiled instruction tape, while
-    /// [`ExecMode::Graph`] is the escape hatch back to the per-term
-    /// graph walker. Both produce bit-identical bytes and identical
-    /// op counts.
-    pub fn with_exec_mode(mut self, mode: ExecMode) -> Self {
-        self.executor = self.executor.with_exec_mode(mode);
-        self
-    }
-
     /// Replaces the plan cache with an empty one of `capacity` entries.
     /// Intended for construction time; swapping mid-session discards the
     /// resident plans and counters.
@@ -168,19 +140,9 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         self.planner.code()
     }
 
-    /// The underlying decoder.
-    pub fn decoder(&self) -> &Decoder {
-        self.executor.decoder()
-    }
-
     /// The strategy requested for plan builds.
     pub fn strategy(&self) -> Strategy {
         self.planner.strategy()
-    }
-
-    /// The execution path used for decodes.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.executor.exec_mode()
     }
 
     /// Cumulative plan-cache counters.
@@ -216,28 +178,16 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         self.planner.plan_for(scenario)
     }
 
-    /// Decodes one stripe through `decoder` on the session's configured
-    /// execution mode, borrowing scratch from the shared arena.
-    fn decode_via(
-        &self,
-        decoder: &Decoder,
-        plan: &DecodePlan<W>,
-        stripe: &mut Stripe,
-    ) -> Result<ExecStats, DecodeError> {
-        self.executor.decode_via(decoder, plan, stripe)
-    }
-
     /// Repairs one stripe in place: plans (or re-uses the cached plan
-    /// for) `scenario`, decodes through the arena on the configured
-    /// [`ExecMode`] (instruction tape by default), and returns the
-    /// instrumented stats with the cache counters attached.
+    /// for) `scenario`, decodes its compiled tape through the arena, and
+    /// returns the instrumented stats with the cache counters attached.
     pub fn repair(
         &self,
         stripe: &mut Stripe,
         scenario: &FailureScenario,
     ) -> Result<ExecStats, DecodeError> {
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.decode_via(self.executor.decoder(), &plan, stripe)?;
+        let mut stats = self.executor.decode(&plan, stripe)?;
         self.attach_counters(&mut stats);
         Ok(stats)
     }
@@ -250,7 +200,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
 
     /// Repairs one stripe and *checks the work*: after decoding,
     /// re-evaluates the plan's surplus parity-check rows against the
-    /// recovered stripe (see [`Decoder::verify`]); on violation runs
+    /// recovered stripe (see [`Executor::verify`]); on violation runs
     /// **erasure escalation** — each suspect surviving sector is promoted
     /// into the faulty set and the decode retried from the original
     /// surviving data, until one promotion yields a stripe that verifies
@@ -304,7 +254,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         // stripe as handed in.
         let baseline = stripe.clone();
         let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.decode_via(self.executor.decoder(), &plan, stripe)?;
+        let mut stats = self.executor.decode(&plan, stripe)?;
         let report = self.executor.verify(&plan, stripe)?;
         let mut verify = VerifyStats {
             rows_available: plan.verify_rows(),
@@ -359,8 +309,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                 }
                 attempts += 1;
                 let mut candidate = baseline.clone();
-                let esc_stats =
-                    self.decode_via(self.executor.decoder(), &esc_plan, &mut candidate)?;
+                let esc_stats = self.executor.decode(&esc_plan, &mut candidate)?;
                 let esc_report = self.executor.verify(&esc_plan, &candidate)?;
                 verify.passes += 1;
                 accumulate_extra(&mut verify.extra, &esc_stats, &esc_report);
@@ -382,51 +331,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         } else {
             Err(DecodeError::EscalationExhausted { attempts, budget })
         }
-    }
-
-    /// Repairs a batch of stripes sharing one scenario, spreading the
-    /// stripes across the decoder's thread pool (see
-    /// [`Decoder::decode_batch_with_stats`]). One plan lookup serves the
-    /// whole batch; per-stripe stats come back in stripe order with the
-    /// cache counters attached.
-    pub fn decode_batch(
-        &self,
-        stripes: &mut [Stripe],
-        scenario: &FailureScenario,
-    ) -> Result<Vec<ExecStats>, DecodeError> {
-        let (plan, _) = self.plan_for(scenario)?;
-        let mut all = self.executor.decoder().decode_batch_with_stats_in(
-            &plan,
-            stripes,
-            self.executor.arena(),
-        )?;
-        let cache = self.planner.cache_stats();
-        let arena = self.executor.arena().stats();
-        for stats in &mut all {
-            stats.cache = Some(cache);
-            stats.arena = Some(arena);
-        }
-        Ok(all)
-    }
-
-    /// Repairs one stripe with `H_rest` region chunking (see
-    /// [`Decoder::decode_chunked_with_stats`]), through the session's
-    /// cache and arena.
-    pub fn decode_chunked(
-        &self,
-        stripe: &mut Stripe,
-        scenario: &FailureScenario,
-        chunk_bytes: usize,
-    ) -> Result<ExecStats, DecodeError> {
-        let (plan, _) = self.plan_for(scenario)?;
-        let mut stats = self.executor.decoder().decode_chunked_with_stats_in(
-            &plan,
-            stripe,
-            chunk_bytes,
-            self.executor.arena(),
-        )?;
-        self.attach_counters(&mut stats);
-        Ok(stats)
     }
 
     /// Encodes a stripe in place — the decoding special case where every
@@ -536,7 +440,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                 full_reencode: false,
                 dirty_bytes,
             }),
-            tape: false,
             total_nanos: started.elapsed().as_nanos(),
         };
         self.attach_counters(&mut stats);
@@ -555,7 +458,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     ///   dominates here — every worker runs the full §III-B workload with
     ///   no synchronization beyond the shared cache and arena.
     /// * **Few stripes**: intra-stripe mode. Stripes decode sequentially
-    ///   on the calling thread through the pooled decoder, keeping the
+    ///   on the calling thread through the executor's pool, keeping the
     ///   paper's §IV parallelism over independent sub-matrices — the only
     ///   parallelism that helps when there aren't enough stripes to go
     ///   around.
@@ -572,7 +475,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// [`RepairError::GeometryMismatch`](crate::RepairError::GeometryMismatch)
     /// leaving every stripe untouched. A decode error mid-batch (not
     /// reachable for validated erasure repairs) aborts with stripes in
-    /// mixed states — like [`Decoder::decode_batch_with_stats`].
+    /// mixed states.
     pub fn repair_batch(
         &self,
         stripes: &mut [Stripe],
@@ -604,7 +507,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                         scope.spawn(move || {
                             let mut out = Vec::with_capacity(chunk_stripes.len());
                             for stripe in chunk_stripes.iter_mut() {
-                                out.push(self.decode_via(self.executor.serial(), plan, stripe)?);
+                                out.push(self.executor.decode_serial(plan, stripe)?);
                             }
                             Ok(out)
                         })
@@ -621,7 +524,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             workers_used = 1;
             stats = Vec::with_capacity(total);
             for stripe in stripes.iter_mut() {
-                stats.push(self.decode_via(self.executor.decoder(), &plan, stripe)?);
+                stats.push(self.executor.decode(&plan, stripe)?);
             }
         }
         let cache = self.planner.cache_stats();
@@ -644,7 +547,7 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
     /// costs self-balance), repairs each against `scenario`, and returns
     /// the repaired stripes **in input order** together with the batch
     /// report. With `workers == 1` the stream is consumed on the calling
-    /// thread through the pooled (intra-stripe parallel) decoder.
+    /// thread through the executor's pool (intra-stripe parallel).
     ///
     /// # Errors
     /// The first decode error stops all workers and is returned; stripes
@@ -665,11 +568,6 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
         let started = Instant::now();
         let (plan, _) = self.plan_for(scenario)?;
         let inter_stripe = workers > 1;
-        let worker_decoder = if inter_stripe {
-            self.executor.serial()
-        } else {
-            self.executor.decoder()
-        };
         let source = Mutex::new(stripes.into_iter().enumerate());
         let failed = AtomicBool::new(false);
         let plan = &plan;
@@ -687,7 +585,12 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
                             let Some((index, mut stripe)) = next else {
                                 break;
                             };
-                            match self.decode_via(worker_decoder, plan, &mut stripe) {
+                            let decoded = if inter_stripe {
+                                self.executor.decode_serial(plan, &mut stripe)
+                            } else {
+                                self.executor.decode(plan, &mut stripe)
+                            };
+                            match decoded {
                                 Ok(stats) => out.push((index, stripe, stats)),
                                 Err(e) => {
                                     failed.store(true, Ordering::Relaxed);
@@ -848,50 +751,31 @@ mod tests {
         // Warm rounds recycled buffers instead of allocating.
         assert!(svc.arena().reuses() > 0);
 
-        // Graph-path steady state: a warm repair of the paper case takes
-        // exactly 6 arena buffers — 3 matrix-first outputs in phase A,
-        // then 1 flat t-term scratch + 2 outputs for the Normal H_rest —
-        // and every one of them is a reuse, not a fresh allocation.
-        let graph = service(1).with_exec_mode(ExecMode::Graph);
-        assert_eq!(graph.exec_mode(), ExecMode::Graph);
+        // Steady state: a warm repair of the paper case makes exactly one
+        // arena reservation per tape segment (3 independent sub-matrices
+        // plus H_rest), and every one of them is a reuse, not a fresh
+        // allocation.
+        let serial = service(1);
         for _ in 0..2 {
             let mut broken = pristine.clone();
             broken.erase(&scenario);
-            graph.repair(&mut broken, &scenario).unwrap();
+            serial.repair(&mut broken, &scenario).unwrap();
             assert_eq!(broken, pristine);
         }
-        let before = graph.arena().stats();
+        let (plan, _) = serial.plan_for(&scenario).unwrap();
+        let before = serial.arena().stats();
         let mut broken = pristine.clone();
         broken.erase(&scenario);
-        graph.repair(&mut broken, &scenario).unwrap();
+        serial.repair(&mut broken, &scenario).unwrap();
         assert_eq!(broken, pristine);
-        let after = graph.arena().stats();
+        let after = serial.arena().stats();
         assert_eq!(after.fresh, before.fresh, "steady state allocates nothing");
-        assert_eq!(after.reused - before.reused, 6, "one take per buffer role");
-    }
-
-    #[test]
-    fn tape_and_graph_repairs_are_bit_identical() {
-        let tape = service(2);
-        let graph = service(2).with_exec_mode(ExecMode::Graph);
-        let mut rng = StdRng::seed_from_u64(9);
-        let mut stripe = random_data_stripe(tape.code(), 96, &mut rng);
-        tape.encode(&mut stripe).unwrap();
-        let pristine = stripe.clone();
-        let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-
-        let mut via_tape = pristine.clone();
-        via_tape.erase(&scenario);
-        let t = tape.repair(&mut via_tape, &scenario).unwrap();
-        let mut via_graph = pristine.clone();
-        via_graph.erase(&scenario);
-        let g = graph.repair(&mut via_graph, &scenario).unwrap();
-
-        assert_eq!(via_tape, pristine);
-        assert_eq!(via_graph, pristine);
-        assert!(t.tape && !g.tape);
-        assert!(t.matches_prediction() && g.matches_prediction());
-        assert_eq!(t.executed_mult_xors(), g.executed_mult_xors());
+        assert_eq!(plan.tape().segments(), 4);
+        assert_eq!(
+            after.reused - before.reused,
+            plan.tape().segments() as u64,
+            "one reservation per segment"
+        );
     }
 
     #[test]
@@ -912,37 +796,6 @@ mod tests {
         let s = svc.cache_stats();
         assert_eq!(s.misses, 2, "encode + one decode pattern");
         assert_eq!(s.hits, 2, "permuted scenarios hit");
-    }
-
-    #[test]
-    fn batch_and_chunked_flow_through_cache() {
-        let svc = service(2);
-        let scenario = FailureScenario::new(vec![2, 6]);
-        let mut rng = StdRng::seed_from_u64(5);
-
-        let mut pristine = Vec::new();
-        let mut broken = Vec::new();
-        for _ in 0..3 {
-            let mut s = random_data_stripe(svc.code(), 64, &mut rng);
-            svc.encode(&mut s).unwrap();
-            let mut b = s.clone();
-            b.erase(&scenario);
-            pristine.push(s);
-            broken.push(b);
-        }
-        let all = svc.decode_batch(&mut broken, &scenario).unwrap();
-        assert_eq!(broken, pristine);
-        assert_eq!(all.len(), 3);
-        assert!(all.iter().all(|s| s.matches_prediction()));
-        assert!(all.iter().all(|s| s.cache.is_some()));
-
-        let mut b = pristine[0].clone();
-        b.erase(&scenario);
-        let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
-        assert_eq!(b, pristine[0]);
-        assert!(stats.matches_prediction(), "chunked stats are complete");
-        // Hits: two repeated encode plans + this chunked decode's plan.
-        assert_eq!(stats.cache.expect("attached").hits, 3);
     }
 
     #[test]
@@ -1141,8 +994,8 @@ mod tests {
             }
         };
 
-        // Few stripes (< 2×workers): intra-stripe mode on the pooled
-        // decoder.
+        // Few stripes (< 2×workers): intra-stripe mode on the
+        // executor's pool.
         let mut few = pristine[..2].to_vec();
         erase_all(&mut few);
         let report = svc.repair_batch(&mut few, &scenario, 2).unwrap();
@@ -1204,7 +1057,7 @@ mod tests {
         assert!(crate::parity_consistent(
             &h,
             &stripe,
-            svc.decoder().config().backend
+            svc.executor().config().backend
         ));
         assert_eq!(stripe.sector(0), a.as_slice());
         assert_eq!(stripe.sector(1), b.as_slice());
@@ -1322,7 +1175,7 @@ mod tests {
         assert!(report.all_match_prediction());
         assert!(report.stripes_per_sec() > 0.0);
 
-        // Single worker flows through the pooled decoder.
+        // Single worker flows through the executor's pool.
         let broken: Vec<Stripe> = pristine
             .iter()
             .map(|s| {

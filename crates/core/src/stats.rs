@@ -3,7 +3,7 @@
 //! The planner prices every calculation sequence in predicted
 //! `mult_XORs` (§III-B of the paper, [`crate::cost`]); this module holds
 //! the executed side of that ledger. [`ExecStats`] is produced by
-//! [`Decoder::decode_with_stats`](crate::Decoder::decode_with_stats) and
+//! [`Executor::decode`](crate::Executor::decode) and
 //! carries, per sub-plan, the region-operation counts reported by
 //! `ppm-gf`'s counted kernels plus wall-clock phase timings — enough to
 //! assert `executed == predicted` in tests and to print
@@ -179,7 +179,8 @@ impl UpdateStats {
 pub struct ExecStats {
     /// Concrete strategy the executed plan used.
     pub strategy: Strategy,
-    /// Thread budget `T` of the decoder that ran the plan.
+    /// Thread budget `T` the plan ran with (1 on the serial lane that
+    /// inter-stripe batch workers use).
     pub threads: usize,
     /// Degree of parallelism `p` (independent sub-plans in phase A).
     pub parallelism: usize,
@@ -191,12 +192,12 @@ pub struct ExecStats {
     pub predicted_costs: Option<CostReport>,
     /// Plan-cache counters at the time of this decode, when it went
     /// through a [`RepairService`](crate::RepairService) (bare
-    /// [`Decoder`](crate::Decoder) calls leave this `None`). A decode
+    /// [`Executor`](crate::Executor) calls leave this `None`). A decode
     /// whose lookup hit performed zero matrix work at plan time.
     pub cache: Option<PlanCacheStats>,
     /// Scratch-arena counters at the time of this decode, when it went
     /// through a [`RepairService`](crate::RepairService) (bare
-    /// [`Decoder`](crate::Decoder) calls leave this `None`). A warm
+    /// [`Executor`](crate::Executor) calls leave this `None`). A warm
     /// decode shows `reused` growing while `fresh` stays flat.
     pub arena: Option<ArenaStats>,
     /// Per-sub-plan executed work for phase A, in plan order.
@@ -216,10 +217,6 @@ pub struct ExecStats {
     /// [`RepairService::apply_update`](crate::RepairService::apply_update)
     /// or the `ppm-update` engine (decodes leave this `None`).
     pub update: Option<UpdateStats>,
-    /// Whether the decode replayed the plan's compiled instruction tape
-    /// (see [`crate::PlanTape`]) instead of walking the term graph. The
-    /// ledger semantics are identical either way.
-    pub tape: bool,
 }
 
 impl ExecStats {
@@ -356,7 +353,6 @@ impl ExecStats {
             Some(u) => push_kv(&mut out, "update", &u.to_json()),
             None => push_kv(&mut out, "update", "null"),
         }
-        push_kv(&mut out, "tape", if self.tape { "true" } else { "false" });
         // Drop the trailing comma push_kv left behind.
         out.pop();
         out.push('}');
@@ -418,7 +414,6 @@ mod tests {
             total_nanos: 600,
             verify: None,
             update: None,
-            tape: false,
         }
     }
 

@@ -1,10 +1,10 @@
 //! Compiled plan tapes: a [`DecodePlan`] lowered to flat instruction
-//! lists, so warm repairs replay pure region arithmetic instead of
-//! re-walking the plan's term graph per stripe.
+//! lists, so repairs replay pure region arithmetic instead of walking
+//! the plan's term graph per stripe.
 //!
-//! Lowering happens once per plan — [`crate::PlanCache`] compiles at
-//! insert time via [`DecodePlan::ensure_tape`] — and captures everything
-//! the graph walker would rediscover on every decode:
+//! Lowering happens once per plan, at plan build ([`DecodePlan::tape`]),
+//! and captures everything a term-by-term interpreter would rediscover
+//! on every decode:
 //!
 //! * each phase-A sub-plan and the phase-B `H_rest` program become one
 //!   [`TapeSegment`]: a `Vec<Instr>` of `{kernel, src, dst, op}` records
@@ -13,8 +13,7 @@
 //!   region call);
 //! * the segment's scratch layout is precomputed: slot counts are fixed
 //!   at compile time, so execution makes **one** arena reservation per
-//!   segment and slices it, instead of allocating a `Vec<Vec<u8>>` of
-//!   per-destination buffers;
+//!   segment and slices it;
 //! * consecutive `mult_XORs` sharing a destination are fused into one
 //!   multi-source accumulate ([`ppm_gf::mul_copy_fused`]): the first
 //!   instruction of a run is [`OpCode::MulCopy`] — an *overwrite*, since
@@ -23,22 +22,28 @@
 //!   the executor applies the whole run block-by-block so the
 //!   destination is written from cache rather than streamed from memory
 //!   once per term. Overwriting heads let the executor take *unzeroed*
-//!   scratch ([`crate::ScratchArena::take_dirty`]), dropping the
-//!   per-decode zeroing sweep the graph walker pays;
+//!   scratch ([`crate::ScratchArena::take_dirty`]);
 //! * surplus verify rows lower to per-row fused runs into a single
 //!   accumulator slot, and the update path's delta plan is lowered
 //!   analogously by [`crate::UpdatePlan`] into per-column patch lists.
 //!
 //! The fusion rule never reorders terms across destinations — a run is a
 //! *consecutive* group sharing one `dst`, in program order — and per-byte
-//! XOR accumulation is order-independent, so tape execution is
-//! bit-identical to the graph walker. The cost-model invariant carries
-//! over unchanged: the tape holds exactly one instruction per predicted
-//! `mult_XORs`, so executed == predicted still holds on the tape path.
+//! XOR accumulation is order-independent, so a tape computes exactly the
+//! plan's `F⁻¹ · S · BS`. The cost-model invariant carries over
+//! unchanged: the tape holds exactly one instruction per predicted
+//! `mult_XORs`, so executed == predicted holds on every decode.
+//!
+//! In-process lowering and [`WirePlan::compile`](crate::WirePlan::compile)
+//! both finish in [`PlanTape::validated`], which checks the unzeroed-
+//! scratch and slot-bounds invariants in every build profile: a tape
+//! that reaches the executor has passed the same checks whether it was
+//! lowered here or decoded from untrusted bytes.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use crate::plan::{DecodePlan, Program, RegionCache, SubPlan};
+use crate::plan::{DecodePlan, Program, RegionCache, Strategy, SubPlan};
+use crate::DecodeError;
 use ppm_gf::{GfWord, RegionMul};
 use std::sync::Arc;
 
@@ -124,10 +129,14 @@ pub(crate) struct VerifyRun<W: GfWord> {
     pub(crate) instrs: Vec<Instr<W>>,
 }
 
-/// A [`DecodePlan`] compiled to linear instruction tapes.
+/// A decode plan compiled to linear instruction tapes — the one
+/// executable form of a plan, whether it was lowered in-process from a
+/// [`DecodePlan`] ([`DecodePlan::tape`]) or received over the wire
+/// ([`WirePlan::compile`](crate::WirePlan::compile)).
 ///
-/// Obtained via [`DecodePlan::ensure_tape`]; executed by the `Decoder`'s
-/// `decode_tape*`/`verify_tape*` entry points. Compilation preserves the
+/// Both constructors end in the same validator, so every tape the
+/// [`Executor`](crate::Executor) runs has passed the checks its
+/// unzeroed-scratch fast path relies on. Compilation preserves the
 /// §III-B cost model exactly: one instruction per predicted `mult_XORs`.
 #[derive(Debug)]
 pub struct PlanTape<W: GfWord> {
@@ -137,15 +146,37 @@ pub struct PlanTape<W: GfWord> {
     pub(crate) phase_b: Option<TapeSegment<W>>,
     /// Surplus verify rows (empty for restricted plans).
     pub(crate) verify: Vec<VerifyRun<W>>,
+    faulty: Vec<usize>,
+    total_sectors: usize,
+    strategy: Strategy,
     mult_xors: usize,
     verify_mult_xors: usize,
+    rest_splittable: bool,
 }
 
 impl<W: GfWord> PlanTape<W> {
-    /// Lowers `plan` — called once per plan by
-    /// [`DecodePlan::ensure_tape`].
-    pub(crate) fn compile(plan: &DecodePlan<W>) -> Self {
-        let phase_a: Vec<TapeSegment<W>> = plan
+    /// The empty tape: no segments, no verify rows, no sectors — the
+    /// placeholder a plan holds until it is compiled.
+    pub(crate) fn empty() -> Self {
+        PlanTape {
+            phase_a: Vec::new(),
+            phase_b: None,
+            verify: Vec::new(),
+            faulty: Vec::new(),
+            total_sectors: 0,
+            strategy: Strategy::PpmAuto,
+            mult_xors: 0,
+            verify_mult_xors: 0,
+            rest_splittable: false,
+        }
+    }
+
+    /// Lowers `plan` and validates the result. A lowering that breaks an
+    /// execution invariant, or changes the plan's predicted cost, is a
+    /// [`RepairError::MalformedTape`](crate::RepairError::MalformedTape)
+    /// from plan build rather than a panic on the data path.
+    pub(crate) fn compile(plan: &DecodePlan<W>) -> Result<Self, DecodeError> {
+        let phase_a = plan
             .phase_a
             .iter()
             .map(|sp| lower_subplan(sp, &plan.regions))
@@ -154,7 +185,7 @@ impl<W: GfWord> PlanTape<W> {
             .phase_b
             .as_ref()
             .map(|sp| lower_subplan(sp, &plan.regions));
-        let verify: Vec<VerifyRun<W>> = plan
+        let verify = plan
             .surplus
             .as_deref()
             .unwrap_or_default()
@@ -170,45 +201,83 @@ impl<W: GfWord> PlanTape<W> {
                 VerifyRun { row: *row, instrs }
             })
             .collect();
-        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
-        debug_assert_eq!(
-            mult_xors,
-            plan.mult_xors(),
-            "tape lowering must preserve the plan's predicted cost"
-        );
-        #[cfg(debug_assertions)]
-        #[allow(clippy::indexing_slicing)] // bounds asserted by construction
-        for seg in phase_a.iter().chain(&phase_b) {
-            // Unzeroed-scratch soundness: every slot of the reservation
-            // is either overwritten by exactly one run head or listed
-            // for explicit zeroing.
-            let mut written = vec![false; seg.total_slots()];
-            for instr in &seg.instrs {
-                if instr.op == OpCode::MulCopy {
-                    debug_assert!(!written[instr.dst], "slot written by two run heads");
-                    written[instr.dst] = true;
-                } else {
-                    debug_assert!(written[instr.dst], "continuation before its head");
-                }
-            }
-            for &slot in &seg.zero_slots {
-                debug_assert!(!written[slot], "zero slot also written by a run");
-                written[slot] = true;
-            }
-            debug_assert!(
-                written.iter().all(|&w| w),
-                "a slot is neither written nor zeroed"
-            );
-        }
-        let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
-        PlanTape {
+        let tape = PlanTape::validated(
             phase_a,
             phase_b,
             verify,
+            plan.faulty().to_vec(),
+            plan.total_sectors(),
+            plan.strategy(),
+        )
+        .map_err(DecodeError::MalformedTape)?;
+        if tape.mult_xors != plan.mult_xors() {
+            return Err(DecodeError::MalformedTape(
+                "lowering changed the predicted mult_XORs",
+            ));
+        }
+        Ok(tape)
+    }
+
+    /// Assembles a tape from its parts after checking every invariant
+    /// the executor relies on: per-segment slot bounds, run-head
+    /// discipline and full slot coverage ([`check_segment`]), verify-run
+    /// shape ([`check_verify_run`]), and that the outputs recover each
+    /// declared faulty sector at most once. The one validator behind
+    /// both in-process lowering and [`WirePlan::compile`](crate::WirePlan::compile).
+    pub(crate) fn validated(
+        phase_a: Vec<TapeSegment<W>>,
+        phase_b: Option<TapeSegment<W>>,
+        verify: Vec<VerifyRun<W>>,
+        faulty: Vec<usize>,
+        total_sectors: usize,
+        strategy: Strategy,
+    ) -> Result<Self, &'static str> {
+        if faulty.windows(2).any(|w| w.first() >= w.get(1)) {
+            return Err("faulty set not sorted and unique");
+        }
+        if faulty.iter().any(|&s| s >= total_sectors) {
+            return Err("faulty sector out of range");
+        }
+        for seg in phase_a.iter().chain(&phase_b) {
+            check_segment(seg, total_sectors)?;
+        }
+        for run in &verify {
+            check_verify_run(run, total_sectors)?;
+        }
+        // Every output sector must be one of the declared faulty
+        // sectors, and no sector may be produced twice.
+        let mut produced: Vec<usize> = phase_a
+            .iter()
+            .chain(&phase_b)
+            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
+            .collect();
+        produced.sort_unstable();
+        if produced.windows(2).any(|w| w.first() == w.get(1)) {
+            return Err("sector produced by two segments");
+        }
+        if produced.iter().any(|s| faulty.binary_search(s).is_err()) {
+            return Err("output sector not in faulty set");
+        }
+
+        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
+            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
+        let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
+        let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
+            seg.instrs
+                .get(seg.scratch_boundary..)
+                .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
+        });
+        Ok(PlanTape {
+            phase_a,
+            phase_b,
+            verify,
+            faulty,
+            total_sectors,
+            strategy,
             mult_xors,
             verify_mult_xors,
-        }
+            rest_splittable,
+        })
     }
 
     /// Total decode instructions — equal to the plan's predicted
@@ -221,6 +290,36 @@ impl<W: GfWord> PlanTape<W> {
     /// [`DecodePlan::verify_mult_xors`].
     pub fn verify_mult_xors(&self) -> usize {
         self.verify_mult_xors
+    }
+
+    /// The faulty sectors the tape recovers, ascending.
+    pub fn faulty(&self) -> &[usize] {
+        &self.faulty
+    }
+
+    /// Sectors in the stripe geometry the tape expects.
+    pub fn total_sectors(&self) -> usize {
+        self.total_sectors
+    }
+
+    /// The strategy the plan was built with.
+    pub fn strategy(&self) -> Strategy {
+        self.strategy
+    }
+
+    /// Phase-A parallelism (independent sub-matrix segments).
+    pub fn parallelism(&self) -> usize {
+        self.phase_a.len()
+    }
+
+    /// Whether the tape carries an `H_rest` phase-B segment.
+    pub fn has_phase_b(&self) -> bool {
+        self.phase_b.is_some()
+    }
+
+    /// Surplus verify rows carried by the tape.
+    pub fn verify_rows(&self) -> usize {
+        self.verify.len()
     }
 
     /// Number of decode segments (phase-A parallelism plus `H_rest`).
@@ -238,6 +337,146 @@ impl<W: GfWord> PlanTape<W> {
             .filter(|i| i.op == OpCode::MulXorFusedCont)
             .count()
     }
+
+    /// Whether phase B splits across nodes: true when every output-
+    /// section instruction of `H_rest` reads intermediate `T` slots only
+    /// (the Normal sequence), so a survivor host can compute the
+    /// partial-sum `T` blocks from its local sectors and ship *those* —
+    /// `z_b` blocks — instead of whole surviving sectors, and the
+    /// aggregator finishes `F⁻¹ · T` without ever seeing the stripe.
+    /// False for a matrix-first `H_rest`, which reads sectors directly.
+    pub fn rest_splittable(&self) -> bool {
+        self.rest_splittable
+    }
+
+    /// Number of partial-sum (`T`) blocks a split phase B ships — the
+    /// scratch slots of the `H_rest` segment (0 without a phase B).
+    pub fn rest_scratch_slots(&self) -> usize {
+        self.phase_b.as_ref().map_or(0, |seg| seg.scratch_slots)
+    }
+
+    /// The sectors phase B recovers (empty without a phase B).
+    pub fn rest_outputs(&self) -> Vec<usize> {
+        self.phase_b.as_ref().map_or_else(Vec::new, |seg| {
+            seg.outputs.iter().map(|&(_, sector)| sector).collect()
+        })
+    }
+
+    /// The sectors phase A recovers, across all independent segments.
+    pub fn phase_a_outputs(&self) -> Vec<usize> {
+        self.phase_a
+            .iter()
+            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
+            .collect()
+    }
+}
+
+/// Checks one segment against every invariant the tape runner's
+/// indexing and unzeroed-scratch fast path rely on: section and slot
+/// bounds, source ranges, run-head-before-continuation discipline, every
+/// slot written by exactly one run head or listed for zeroing, and the
+/// canonical output layout (output `i` in slot `scratch_slots + i`).
+fn check_segment<W: GfWord>(
+    seg: &TapeSegment<W>,
+    total_sectors: usize,
+) -> Result<(), &'static str> {
+    let scratch_slots = seg.scratch_slots;
+    let total_slots = seg.total_slots();
+    if seg.scratch_boundary > seg.instrs.len() {
+        return Err("scratch boundary past segment end");
+    }
+    // Each slot needs its own run head or zero-list entry, so a layout
+    // with more slots than both together cannot be covered. Checking
+    // before allocating keeps a hostile slot count from sizing the
+    // coverage map below.
+    if total_slots > seg.instrs.len() + seg.zero_slots.len() {
+        return Err("a slot is neither written nor zeroed");
+    }
+
+    let mut written = vec![false; total_slots];
+    let mut prev_dst: Option<usize> = None;
+    for (i, instr) in seg.instrs.iter().enumerate() {
+        let dst = instr.dst;
+        if i < seg.scratch_boundary {
+            if dst >= scratch_slots {
+                return Err("scratch-section write past T slots");
+            }
+            if !matches!(instr.src, Loc::Sector(_)) {
+                return Err("scratch section reads a slot");
+            }
+        } else if dst < scratch_slots || dst >= total_slots {
+            return Err("output-section write out of range");
+        }
+        match instr.src {
+            Loc::Sector(s) if s >= total_sectors => return Err("source sector out of range"),
+            Loc::Slot(e) if e >= scratch_slots => return Err("source slot out of range"),
+            _ => {}
+        }
+        match instr.op {
+            // A continuation extends the run immediately before it; the
+            // runner folds a maximal head+continuations group into one
+            // fused accumulate, so the destination must match and the
+            // run may not straddle the section boundary.
+            OpCode::MulXorFusedCont => {
+                if prev_dst != Some(dst) || i == seg.scratch_boundary {
+                    return Err("continuation without its run head");
+                }
+            }
+            OpCode::MulCopy => {
+                let slot = written.get_mut(dst).ok_or("run head out of range")?;
+                if *slot {
+                    return Err("slot written by two run heads");
+                }
+                *slot = true;
+            }
+        }
+        prev_dst = Some(dst);
+    }
+
+    for &slot in &seg.zero_slots {
+        let flag = written.get_mut(slot).ok_or("zero slot out of range")?;
+        if *flag {
+            return Err("zero slot also written by a run");
+        }
+        *flag = true;
+    }
+    if !written.iter().all(|&w| w) {
+        return Err("a slot is neither written nor zeroed");
+    }
+
+    for (i, &(slot, sector)) in seg.outputs.iter().enumerate() {
+        if slot != scratch_slots + i {
+            return Err("non-canonical output slot layout");
+        }
+        if sector >= total_sectors {
+            return Err("output sector out of range");
+        }
+    }
+    Ok(())
+}
+
+/// Checks one verify run: a single fused run into slot 0 — head first,
+/// continuations after — reading in-range stripe sectors only.
+fn check_verify_run<W: GfWord>(
+    run: &VerifyRun<W>,
+    total_sectors: usize,
+) -> Result<(), &'static str> {
+    for (i, instr) in run.instrs.iter().enumerate() {
+        match instr.src {
+            Loc::Slot(_) => return Err("verify run reads a scratch slot"),
+            Loc::Sector(s) if s >= total_sectors => {
+                return Err("verify source sector out of range")
+            }
+            Loc::Sector(_) => {}
+        }
+        if instr.dst != 0 {
+            return Err("verify run writes a non-zero slot");
+        }
+        if (instr.op == OpCode::MulCopy) != (i == 0) {
+            return Err("verify run head/continuation order");
+        }
+    }
+    Ok(())
 }
 
 /// Emits one destination's terms as a fused run: first instruction
@@ -341,7 +580,6 @@ pub(crate) fn lower_subplan<W: GfWord>(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
-    use crate::Strategy as PlanStrategy;
     use ppm_codes::{ErasureCode, FailureScenario, SdCode};
     use ppm_gf::Backend;
     use proptest::prelude::*;
@@ -350,27 +588,70 @@ mod tests {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
         let h = code.parity_check_matrix();
         let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-        DecodePlan::build(&h, &sc, PlanStrategy::PpmNormalRest, Backend::Scalar).unwrap()
+        DecodePlan::build(
+            &h,
+            &sc,
+            crate::plan::Strategy::PpmNormalRest,
+            Backend::Scalar,
+        )
+        .unwrap()
     }
 
     #[test]
     fn compile_preserves_cost_and_structure() {
         let plan = paper_plan();
-        let tape = plan.ensure_tape();
+        let tape = plan.tape();
         assert_eq!(tape.mult_xors(), plan.mult_xors());
         assert_eq!(tape.mult_xors(), 29);
         assert_eq!(tape.verify_mult_xors(), plan.verify_mult_xors());
         assert_eq!(tape.phase_a.len(), plan.parallelism());
         assert_eq!(tape.phase_b.is_some(), plan.has_phase_b());
         assert_eq!(tape.verify.len(), plan.verify_rows());
-        // The OnceLock caches: a second call hands back the same tape.
-        assert!(std::ptr::eq(tape, plan.ensure_tape()));
+        assert_eq!(tape.faulty(), plan.faulty());
+        assert_eq!(tape.total_sectors(), plan.total_sectors());
+        assert!(tape.rest_splittable(), "Normal H_rest splits");
+    }
+
+    /// In-process lowering goes through the same validator as wire
+    /// plans: a lowered segment that breaks the run-head discipline or
+    /// leaves a slot uncovered is a typed error, in every build profile.
+    #[test]
+    fn lowered_segments_pass_the_shared_validator() {
+        let plan = paper_plan();
+        let lower = |i: usize| lower_subplan(&plan.phase_a[i], &plan.regions);
+        let validate = |seg: TapeSegment<u8>| {
+            PlanTape::validated(
+                vec![seg],
+                None,
+                Vec::new(),
+                plan.faulty().to_vec(),
+                plan.total_sectors(),
+                plan.strategy(),
+            )
+            .map(|_| ())
+        };
+        assert_eq!(validate(lower(0)), Ok(()));
+
+        let mut headless = lower(0);
+        headless.instrs[0].op = OpCode::MulXorFusedCont;
+        assert_eq!(validate(headless), Err("continuation without its run head"));
+
+        let mut uncovered = lower(0);
+        uncovered.instrs.clear();
+        assert_eq!(
+            validate(uncovered),
+            Err("a slot is neither written nor zeroed")
+        );
+
+        let mut out_of_range = lower(0);
+        out_of_range.instrs[0].src = Loc::Sector(plan.total_sectors());
+        assert_eq!(validate(out_of_range), Err("source sector out of range"));
     }
 
     #[test]
     fn kernels_are_shared_with_the_plan() {
         let plan = paper_plan();
-        let tape = plan.ensure_tape();
+        let tape = plan.tape();
         for instr in tape
             .phase_a
             .iter()
@@ -388,7 +669,7 @@ mod tests {
     #[test]
     fn segment_layout_separates_scratch_from_outputs() {
         let plan = paper_plan();
-        let tape = plan.ensure_tape();
+        let tape = plan.tape();
         for seg in tape.phase_a.iter().chain(&tape.phase_b) {
             for (i, instr) in seg.instrs.iter().enumerate() {
                 if i < seg.scratch_boundary {
@@ -426,7 +707,9 @@ mod tests {
 
     /// Strategy: a small Normal program — per-destination term lists with
     /// non-zero coefficients over a handful of sources.
-    fn term_lists(max_dests: usize) -> impl Strategy<Value = Vec<Vec<(u8, usize)>>> {
+    fn term_lists(
+        max_dests: usize,
+    ) -> impl proptest::strategy::Strategy<Value = Vec<Vec<(u8, usize)>>> {
         proptest::collection::vec(
             proptest::collection::vec((1u8..=255, 0usize..8), 0..5),
             0..max_dests,

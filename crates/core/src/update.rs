@@ -27,16 +27,16 @@ use std::sync::Arc;
 ///
 /// ```
 /// use ppm_codes::{ErasureCode, LrcCode};
-/// use ppm_core::{encode, parity_consistent, Decoder, DecoderConfig, UpdatePlan};
+/// use ppm_core::{encode, parity_consistent, DecoderConfig, Executor, UpdatePlan};
 /// use ppm_gf::Backend;
 /// use ppm_stripe::random_data_stripe;
 /// use rand::{rngs::StdRng, SeedableRng};
 ///
 /// let code = LrcCode::<u8>::new(6, 2, 2, 4).unwrap();
-/// let decoder = Decoder::new(DecoderConfig::default());
+/// let executor = Executor::new(DecoderConfig::default());
 /// let mut rng = StdRng::seed_from_u64(1);
 /// let mut stripe = random_data_stripe(&code, 512, &mut rng);
-/// encode(&code, &decoder, &mut stripe).unwrap();
+/// encode(&code, &executor, &mut stripe).unwrap();
 ///
 /// let plan = UpdatePlan::build(&code, Backend::Auto).unwrap();
 /// // An LRC data write touches its local parity plus the g globals.
@@ -256,24 +256,24 @@ mod tests {
     /// writing the data and fully re-encoding.
     fn reencode_reference<W: GfWord, C: ErasureCode<W>>(
         code: &C,
-        decoder: &crate::Decoder,
+        executor: &crate::Executor,
         stripe: &mut Stripe,
     ) -> Result<(), RepairError> {
         let scenario = FailureScenario::new(code.parity_sectors());
         let h = code.parity_check_matrix();
-        let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, decoder.config().backend)?;
-        decoder.decode(&plan, stripe)
+        let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, executor.config().backend)?;
+        executor.decode(&plan, stripe).map(|_| ())
     }
 
     use super::*;
-    use crate::{encode, parity_consistent, Decoder, DecoderConfig};
+    use crate::{encode, parity_consistent, DecoderConfig, Executor};
     use ppm_codes::{LrcCode, RsCode, SdCode};
     use ppm_stripe::random_data_stripe;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
-    fn decoder() -> Decoder {
-        Decoder::new(DecoderConfig {
+    fn executor() -> Executor {
+        Executor::new(DecoderConfig {
             threads: 1,
             backend: Backend::Scalar,
         })
@@ -282,7 +282,7 @@ mod tests {
     fn encoded_stripe<W: GfWord, C: ErasureCode<W>>(code: &C, seed: u64) -> Stripe {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stripe = random_data_stripe(code, 64, &mut rng);
-        encode(code, &decoder(), &mut stripe).unwrap();
+        encode(code, &executor(), &mut stripe).unwrap();
         stripe
     }
 
@@ -301,7 +301,7 @@ mod tests {
             // Reference: write + full re-encode.
             let mut reference = stripe.clone();
             reference.write_sector(d, &new_data);
-            reencode_reference(&code, &decoder(), &mut reference).unwrap();
+            reencode_reference(&code, &executor(), &mut reference).unwrap();
 
             // Incremental path.
             plan.apply(&mut stripe, d, &new_data).unwrap();
@@ -492,9 +492,8 @@ mod tests {
         let sc = code.decodable_worst_case(1, &mut rng, 100).unwrap();
         stripe.erase(&sc);
         let h = code.parity_check_matrix();
-        decoder()
-            .decode_scenario(&h, &sc, Strategy::PpmAuto, &mut stripe)
-            .unwrap();
+        let plan = DecodePlan::build(&h, &sc, Strategy::PpmAuto, Backend::Scalar).unwrap();
+        executor().decode(&plan, &mut stripe).unwrap();
         assert_eq!(stripe, pristine);
     }
 }

@@ -1,10 +1,10 @@
 //! Serializable decode plans: *plans travel, data stays put*.
 //!
 //! A [`WirePlan`] is the compact wire encoding of a compiled
-//! [`PlanTape`](crate::PlanTape): the instruction segments, the
-//! per-constant kernel-table seeds (the GF constants — multiplication
-//! tables are rebuilt on the receiving side, never shipped), the
-//! precomputed scratch layout, and the surplus verify rows. It is what a
+//! [`PlanTape`]: the instruction segments, the per-constant kernel-table
+//! seeds (the GF constants — multiplication tables are rebuilt on the
+//! receiving side, never shipped), the precomputed scratch layout, and
+//! the surplus verify rows. It is what a
 //! cluster coordinator sends to a worker so the worker can execute a
 //! repair against locally held sectors without ever learning the code's
 //! parity-check matrix or running a factorization.
@@ -14,10 +14,10 @@
 //! the encoding is stable by construction and auditable byte for byte.
 //! Decoding is *structural* (tags, counts, truncation); turning a decoded
 //! plan into something executable goes through [`WirePlan::compile`],
-//! which re-validates every invariant the in-process tape compiler
-//! guarantees (slot bounds, run-head discipline, full slot coverage) —
-//! the executor's unzeroed-scratch fast path is only sound against
-//! checked input, and wire input is untrusted.
+//! which ends in the same validator as in-process tape lowering (slot
+//! bounds, run-head discipline, full slot coverage) — the executor's
+//! unzeroed-scratch fast path is only sound against checked input, and
+//! wire input is untrusted.
 //!
 //! Compilation rebuilds one [`RegionMul`] kernel per distinct constant
 //! (the isa-l `ec_init_tables` pattern, now applied across the network:
@@ -27,7 +27,7 @@
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::plan::{DecodePlan, Strategy};
-use crate::tape::{Instr, Loc, OpCode, TapeSegment, VerifyRun};
+use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment, VerifyRun};
 use ppm_gf::{Backend, GfWord, RegionMul};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -40,6 +40,9 @@ const MAGIC: [u8; 4] = *b"PPMW";
 
 /// Upper bound on any length field — far above any real plan, low enough
 /// that a malformed length cannot drive an allocation into the gigabytes.
+/// (Slot counts are bounded separately, by the validator's coverage
+/// rule: a segment cannot have more slots than run heads plus zero
+/// slots.)
 const MAX_COUNT: usize = 1 << 24;
 
 /// Errors of wire-plan encoding, decoding, and compilation.
@@ -190,11 +193,9 @@ fn wire_segment<W: GfWord>(seg: &TapeSegment<W>) -> WireSegment {
 }
 
 impl WirePlan {
-    /// Captures `plan`'s compiled tape as a wire plan (compiling the tape
-    /// first if the plan never went through a
-    /// [`PlanCache`](crate::PlanCache) insert).
+    /// Captures `plan`'s compiled tape as a wire plan.
     pub fn from_plan<W: GfWord>(plan: &DecodePlan<W>) -> WirePlan {
-        let tape = plan.ensure_tape();
+        let tape = plan.tape();
         WirePlan {
             gf_width: W::WIDTH,
             total_sectors: narrow(plan.total_sectors()),
@@ -325,198 +326,50 @@ impl WirePlan {
         })
     }
 
-    /// Compiles the plan into an executable form for word type `W`:
-    /// validates every invariant the executor's unzeroed-scratch fast
-    /// path relies on, then rebuilds one shared [`RegionMul`] kernel per
-    /// distinct constant (checked construction — the scalar self-probe
-    /// runs on the receiving host's hardware).
-    pub fn compile<W: GfWord>(&self, backend: Backend) -> Result<ExecutableWirePlan<W>, WireError> {
+    /// Compiles the plan into an executable [`PlanTape`] for word type
+    /// `W`: rebuilds one shared [`RegionMul`] kernel per distinct
+    /// constant (checked construction — the scalar self-probe runs on
+    /// the receiving host's hardware), then runs the same validator
+    /// in-process lowering uses, so every invariant the executor's
+    /// unzeroed-scratch fast path relies on is re-checked against the
+    /// untrusted bytes.
+    pub fn compile<W: GfWord>(&self, backend: Backend) -> Result<PlanTape<W>, WireError> {
         if self.gf_width != W::WIDTH {
             return Err(WireError::WidthMismatch {
                 plan: self.gf_width,
                 word: W::WIDTH,
             });
         }
-        let total_sectors = self.total_sectors as usize;
-        let faulty: Vec<usize> = self.faulty.iter().map(|&s| s as usize).collect();
-        if faulty.windows(2).any(|w| w.first() >= w.get(1)) {
-            return Err(WireError::Malformed("faulty set not sorted and unique"));
-        }
-        if faulty.iter().any(|&s| s >= total_sectors) {
-            return Err(WireError::Malformed("faulty sector out of range"));
-        }
-
         let mut kernels: KernelCache<W> = KernelCache::new(backend);
-        let phase_a: Vec<TapeSegment<W>> = self
+        let phase_a = self
             .phase_a
             .iter()
-            .map(|seg| compile_segment(seg, total_sectors, &mut kernels))
+            .map(|seg| compile_segment(seg, &mut kernels))
             .collect::<Result<_, _>>()?;
         let phase_b = self
             .phase_b
             .as_ref()
-            .map(|seg| compile_segment(seg, total_sectors, &mut kernels))
+            .map(|seg| compile_segment(seg, &mut kernels))
             .transpose()?;
-
-        // Every output sector must be one of the declared faulty sectors,
-        // and no sector may be produced twice.
-        let mut produced: Vec<usize> = phase_a
-            .iter()
-            .chain(&phase_b)
-            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
-            .collect();
-        produced.sort_unstable();
-        if produced.windows(2).any(|w| w.first() == w.get(1)) {
-            return Err(WireError::Malformed("sector produced by two segments"));
-        }
-        if produced.iter().any(|s| faulty.binary_search(s).is_err()) {
-            return Err(WireError::Malformed("output sector not in faulty set"));
-        }
-
-        let verify: Vec<VerifyRun<W>> = self
+        let verify = self
             .verify
             .iter()
             .map(|run| {
-                let instrs = compile_instrs(
-                    &run.instrs,
-                    &mut kernels,
-                    // Verify runs accumulate into a single slot, reading
-                    // stripe sectors only.
-                    |i, instr| match instr.src {
-                        WireLoc::Sector(s) if (s as usize) < total_sectors => {
-                            if instr.dst != 0 {
-                                Err(WireError::Malformed("verify run writes a non-zero slot"))
-                            } else if instr.cont == (i == 0) {
-                                Err(WireError::Malformed("verify run head/continuation order"))
-                            } else {
-                                Ok(())
-                            }
-                        }
-                        WireLoc::Sector(_) => {
-                            Err(WireError::Malformed("verify source sector out of range"))
-                        }
-                        WireLoc::Slot(_) => {
-                            Err(WireError::Malformed("verify run reads a scratch slot"))
-                        }
-                    },
-                )?;
                 Ok(VerifyRun {
                     row: run.row as usize,
-                    instrs,
+                    instrs: compile_instrs(&run.instrs, &mut kernels)?,
                 })
             })
             .collect::<Result<_, WireError>>()?;
-
-        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
-        let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
-        let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
-            seg.instrs
-                .get(seg.scratch_boundary..)
-                .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
-        });
-        Ok(ExecutableWirePlan {
+        PlanTape::validated(
             phase_a,
             phase_b,
             verify,
-            faulty,
-            total_sectors,
-            strategy: self.strategy,
-            mult_xors,
-            verify_mult_xors,
-            rest_splittable,
-        })
-    }
-}
-
-/// A [`WirePlan`] compiled for local execution: real [`TapeSegment`]s
-/// with rebuilt, `Arc`-shared kernels, plus the plan metadata an executor
-/// or cluster node needs. Execution entry points live on
-/// [`Executor`](crate::Executor).
-#[derive(Debug)]
-pub struct ExecutableWirePlan<W: GfWord> {
-    pub(crate) phase_a: Vec<TapeSegment<W>>,
-    pub(crate) phase_b: Option<TapeSegment<W>>,
-    pub(crate) verify: Vec<VerifyRun<W>>,
-    faulty: Vec<usize>,
-    total_sectors: usize,
-    strategy: Strategy,
-    mult_xors: usize,
-    verify_mult_xors: usize,
-    rest_splittable: bool,
-}
-
-impl<W: GfWord> ExecutableWirePlan<W> {
-    /// The faulty sectors the plan recovers, ascending.
-    pub fn faulty(&self) -> &[usize] {
-        &self.faulty
-    }
-
-    /// Sectors in the stripe geometry the plan expects.
-    pub fn total_sectors(&self) -> usize {
-        self.total_sectors
-    }
-
-    /// The strategy the plan was built with.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// Total decode instructions (= predicted `mult_XORs`).
-    pub fn mult_xors(&self) -> usize {
-        self.mult_xors
-    }
-
-    /// Total verify-section instructions.
-    pub fn verify_mult_xors(&self) -> usize {
-        self.verify_mult_xors
-    }
-
-    /// Phase-A parallelism (independent sub-matrix segments).
-    pub fn parallelism(&self) -> usize {
-        self.phase_a.len()
-    }
-
-    /// Whether the plan carries an `H_rest` phase-B segment.
-    pub fn has_phase_b(&self) -> bool {
-        self.phase_b.is_some()
-    }
-
-    /// Surplus verify rows carried by the plan.
-    pub fn verify_rows(&self) -> usize {
-        self.verify.len()
-    }
-
-    /// Whether phase B splits across nodes: true when every output-
-    /// section instruction of `H_rest` reads intermediate `T` slots only
-    /// (the Normal sequence), so a survivor host can compute the
-    /// partial-sum `T` blocks from its local sectors and ship *those* —
-    /// `z_b` blocks — instead of whole surviving sectors, and the
-    /// aggregator finishes `F⁻¹ · T` without ever seeing the stripe.
-    /// False for a matrix-first `H_rest`, which reads sectors directly.
-    pub fn rest_splittable(&self) -> bool {
-        self.rest_splittable
-    }
-
-    /// Number of partial-sum (`T`) blocks a split phase B ships — the
-    /// scratch slots of the `H_rest` segment (0 without a phase B).
-    pub fn rest_scratch_slots(&self) -> usize {
-        self.phase_b.as_ref().map_or(0, |seg| seg.scratch_slots)
-    }
-
-    /// The sectors phase B recovers (empty without a phase B).
-    pub fn rest_outputs(&self) -> Vec<usize> {
-        self.phase_b.as_ref().map_or_else(Vec::new, |seg| {
-            seg.outputs.iter().map(|&(_, sector)| sector).collect()
-        })
-    }
-
-    /// The sectors phase A recovers, across all independent segments.
-    pub fn phase_a_outputs(&self) -> Vec<usize> {
-        self.phase_a
-            .iter()
-            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
-            .collect()
+            self.faulty(),
+            self.total_sectors(),
+            self.strategy,
+        )
+        .map_err(WireError::Malformed)
     }
 }
 
@@ -546,18 +399,16 @@ impl<W: GfWord> KernelCache<W> {
     }
 }
 
-/// Compiles a wire instruction list, running `check(index, instr)` on
-/// each before building its kernel.
+/// Turns a wire instruction list into tape instructions with rebuilt
+/// kernels. Structural only: bounds and run discipline are checked by
+/// [`PlanTape::validated`].
 fn compile_instrs<W: GfWord>(
     instrs: &[WireInstr],
     kernels: &mut KernelCache<W>,
-    check: impl Fn(usize, &WireInstr) -> Result<(), WireError>,
 ) -> Result<Vec<Instr<W>>, WireError> {
     instrs
         .iter()
-        .enumerate()
-        .map(|(i, instr)| {
-            check(i, instr)?;
+        .map(|instr| {
             Ok(Instr {
                 kernel: kernels.get(instr.constant)?,
                 src: match instr.src {
@@ -575,109 +426,21 @@ fn compile_instrs<W: GfWord>(
         .collect()
 }
 
-/// Validates and compiles one wire segment into a [`TapeSegment`],
-/// enforcing the exact invariants the in-process tape compiler asserts:
-/// section/slot bounds, run-head-before-continuation discipline, every
-/// slot written by exactly one run head or listed for zeroing, and the
-/// canonical output layout (output `i` in slot `scratch_slots + i`).
+/// Turns one wire segment into a [`TapeSegment`] (validated later,
+/// with the whole tape).
 fn compile_segment<W: GfWord>(
     seg: &WireSegment,
-    total_sectors: usize,
     kernels: &mut KernelCache<W>,
 ) -> Result<TapeSegment<W>, WireError> {
-    let scratch_slots = seg.scratch_slots as usize;
-    let scratch_boundary = seg.scratch_boundary as usize;
-    let total_slots = scratch_slots + seg.outputs.len();
-    if scratch_boundary > seg.instrs.len() {
-        return Err(WireError::Malformed("scratch boundary past segment end"));
-    }
-    if total_slots > MAX_COUNT {
-        return Err(WireError::Oversized {
-            count: total_slots,
-            max: MAX_COUNT,
-        });
-    }
-
-    let mut written = vec![false; total_slots];
-    let mut prev_dst: Option<usize> = None;
-    for (i, instr) in seg.instrs.iter().enumerate() {
-        let dst = instr.dst as usize;
-        let in_scratch_section = i < scratch_boundary;
-        if in_scratch_section {
-            if dst >= scratch_slots {
-                return Err(WireError::Malformed("scratch-section write past T slots"));
-            }
-            if !matches!(instr.src, WireLoc::Sector(_)) {
-                return Err(WireError::Malformed("scratch section reads a slot"));
-            }
-        } else if dst < scratch_slots || dst >= total_slots {
-            return Err(WireError::Malformed("output-section write out of range"));
-        }
-        match instr.src {
-            WireLoc::Sector(s) => {
-                if s as usize >= total_sectors {
-                    return Err(WireError::Malformed("source sector out of range"));
-                }
-            }
-            WireLoc::Slot(e) => {
-                if e as usize >= scratch_slots {
-                    return Err(WireError::Malformed("source slot out of range"));
-                }
-            }
-        }
-        if instr.cont {
-            // A continuation extends the run immediately before it; the
-            // executor folds a maximal head+continuations group into one
-            // fused accumulate, so the destination must match.
-            if prev_dst != Some(dst) || i == scratch_boundary {
-                return Err(WireError::Malformed("continuation without its run head"));
-            }
-        } else {
-            let slot = written
-                .get_mut(dst)
-                .ok_or(WireError::Malformed("run head out of range"))?;
-            if *slot {
-                return Err(WireError::Malformed("slot written by two run heads"));
-            }
-            *slot = true;
-        }
-        prev_dst = Some(dst);
-    }
-
-    for &slot in &seg.zero_slots {
-        let flag = written
-            .get_mut(slot as usize)
-            .ok_or(WireError::Malformed("zero slot out of range"))?;
-        if *flag {
-            return Err(WireError::Malformed("zero slot also written by a run"));
-        }
-        *flag = true;
-    }
-    if !written.iter().all(|&w| w) {
-        return Err(WireError::Malformed("a slot is neither written nor zeroed"));
-    }
-
-    let outputs: Vec<(usize, usize)> = seg
-        .outputs
-        .iter()
-        .enumerate()
-        .map(|(i, &(slot, sector))| {
-            if slot as usize != scratch_slots + i {
-                Err(WireError::Malformed("non-canonical output slot layout"))
-            } else if sector as usize >= total_sectors {
-                Err(WireError::Malformed("output sector out of range"))
-            } else {
-                Ok((slot as usize, sector as usize))
-            }
-        })
-        .collect::<Result<_, _>>()?;
-
-    let instrs = compile_instrs(&seg.instrs, kernels, |_, _| Ok(()))?;
     Ok(TapeSegment {
-        instrs,
-        scratch_boundary,
-        scratch_slots,
-        outputs,
+        instrs: compile_instrs(&seg.instrs, kernels)?,
+        scratch_boundary: seg.scratch_boundary as usize,
+        scratch_slots: seg.scratch_slots as usize,
+        outputs: seg
+            .outputs
+            .iter()
+            .map(|&(slot, sector)| (slot as usize, sector as usize))
+            .collect(),
         zero_slots: seg.zero_slots.iter().map(|&s| s as usize).collect(),
     })
 }
@@ -1008,6 +771,15 @@ mod tests {
         assert_eq!(
             bad.compile::<u8>(Backend::Scalar).unwrap_err(),
             WireError::Malformed("constant exceeds field width")
+        );
+
+        // A hostile slot count is rejected before anything is sized
+        // by it.
+        let mut bad = base.clone();
+        bad.phase_a[0].scratch_slots = u32::MAX;
+        assert_eq!(
+            bad.compile::<u8>(Backend::Scalar).unwrap_err(),
+            WireError::Malformed("a slot is neither written nor zeroed")
         );
 
         // A slot no run writes and no zero list covers.

@@ -262,8 +262,8 @@ impl<W: GfWord> RegionMul<W> {
     ///
     /// The ledger entry is identical to [`RegionMul::mul_xor_with`]'s —
     /// overwriting and accumulating are the same table pass over the
-    /// same bytes, so a run-head overwrite counts exactly like the XOR
-    /// the graph walker would have issued into zeroed scratch.
+    /// same bytes, so a run-head overwrite counts exactly like an XOR
+    /// into zeroed scratch.
     ///
     /// # Panics
     /// Panics if lengths differ or are not a multiple of the word size.

@@ -12,7 +12,8 @@
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Decoder, DecoderConfig, ErasureCode, FailureScenario, LrcCode, Partition, Strategy,
+    encode, DecodePlan, DecoderConfig, ErasureCode, Executor, FailureScenario, LrcCode, Partition,
+    Strategy,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
@@ -26,10 +27,10 @@ fn main() {
         code.storage_cost()
     );
 
-    let decoder = Decoder::new(DecoderConfig::default());
+    let executor = Executor::new(DecoderConfig::default());
     let mut rng = StdRng::seed_from_u64(17);
     let mut stripe = random_data_stripe(&code, 32 * 1024, &mut rng);
-    encode(&code, &decoder, &mut stripe).expect("encode");
+    encode(&code, &executor, &mut stripe).expect("encode");
     let pristine = stripe.clone();
     let h = code.parity_check_matrix();
     let layout = code.layout();
@@ -48,7 +49,8 @@ fn main() {
             "non-null"
         }
     );
-    let plan = decoder.plan(&h, &one, Strategy::PpmAuto).expect("plan");
+    let plan =
+        DecodePlan::build(&h, &one, Strategy::PpmAuto, executor.config().backend).expect("plan");
     println!(
         "  repair reads {} blocks ({} mult_XORs) — the local group only",
         plan.mult_xors(),
@@ -62,7 +64,7 @@ fn main() {
     let mut broken = pristine.clone();
     broken.erase(&one);
     let t = Instant::now();
-    decoder.decode(&plan, &mut broken).expect("decode");
+    executor.decode(&plan, &mut broken).expect("decode");
     println!("  degraded read served in {:.2?}", t.elapsed());
     assert_eq!(broken, pristine);
 
@@ -79,14 +81,15 @@ fn main() {
             "non-null"
         }
     );
-    let plan = decoder.plan(&h, &disk, Strategy::PpmAuto).expect("plan");
+    let plan =
+        DecodePlan::build(&h, &disk, Strategy::PpmAuto, executor.config().backend).expect("plan");
     let mut broken = pristine.clone();
     broken.erase(&disk);
     let t = Instant::now();
-    decoder.decode(&plan, &mut broken).expect("decode");
+    executor.decode(&plan, &mut broken).expect("decode");
     println!(
         "  repaired with T = {} threads in {:.2?}",
-        decoder.config().threads,
+        executor.config().threads,
         t.elapsed()
     );
     assert_eq!(broken, pristine);
@@ -103,11 +106,12 @@ fn main() {
         ("traditional (C1)", Strategy::TraditionalNormal),
         ("PPM (auto)      ", Strategy::PpmAuto),
     ] {
-        let plan = decoder.plan(&h, &worst, strategy).expect("plan");
+        let plan =
+            DecodePlan::build(&h, &worst, strategy, executor.config().backend).expect("plan");
         let mut broken = pristine.clone();
         broken.erase(&worst);
         let t = Instant::now();
-        decoder.decode(&plan, &mut broken).expect("decode");
+        executor.decode(&plan, &mut broken).expect("decode");
         assert_eq!(broken, pristine);
         println!(
             "  {label}: {:>9.2?} ({} mult_XORs, parallelism {})",

@@ -8,7 +8,9 @@
 //! Run with: `cargo run --release --example disk_and_sector_failure`
 
 use ppm::stripe::random_data_stripe;
-use ppm::{encode, parity_consistent, Decoder, DecoderConfig, ErasureCode, SdCode, Strategy};
+use ppm::{
+    encode, parity_consistent, DecodePlan, DecoderConfig, ErasureCode, Executor, SdCode, Strategy,
+};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
@@ -17,19 +19,19 @@ fn main() {
     let code = SdCode::<u8>::search(n, r, m, s, 1, 4).expect("coefficient search");
     println!("code: {}", code.name());
 
-    let decoder = Decoder::new(DecoderConfig::default());
+    let executor = Executor::new(DecoderConfig::default());
     let mut rng = StdRng::seed_from_u64(99);
     // ~8 MiB stripe: 8*16 sectors of 64 KiB.
     let mut stripe = random_data_stripe(&code, 64 * 1024, &mut rng);
     let t = Instant::now();
-    encode(&code, &decoder, &mut stripe).expect("encode");
+    encode(&code, &executor, &mut stripe).expect("encode");
     println!(
         "encoded {:.1} MiB stripe in {:.2?}",
         stripe.total_bytes() as f64 / (1 << 20) as f64,
         t.elapsed()
     );
     let h = code.parity_check_matrix();
-    assert!(parity_consistent(&h, &stripe, decoder.config().backend));
+    assert!(parity_consistent(&h, &stripe, executor.config().backend));
     let pristine = stripe.clone();
 
     // Worst case: m whole disks + s sectors on z = 1 row.
@@ -62,9 +64,10 @@ fn main() {
     ] {
         let mut broken = pristine.clone();
         broken.erase(&scenario);
-        let plan = decoder.plan(&h, &scenario, strategy).expect("plan");
+        let plan =
+            DecodePlan::build(&h, &scenario, strategy, executor.config().backend).expect("plan");
         let t = Instant::now();
-        decoder.decode(&plan, &mut broken).expect("decode");
+        executor.decode(&plan, &mut broken).expect("decode");
         let dt = t.elapsed();
         assert_eq!(broken, pristine, "{label}: recovery must be bit-exact");
         println!(

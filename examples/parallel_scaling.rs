@@ -8,25 +8,27 @@
 //! Run with: `cargo run --release --example parallel_scaling [stripe_mib]`
 
 use ppm::stripe::random_data_stripe;
-use ppm::{encode, Backend, Decoder, DecoderConfig, ErasureCode, SdCode, Strategy, Stripe};
+use ppm::{
+    encode, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor, SdCode, Strategy, Stripe,
+};
 use rand::{rngs::StdRng, SeedableRng};
 use std::time::Instant;
 
 fn time_decode(
-    decoder: &Decoder,
+    executor: &Executor,
     h: &ppm::Matrix<u8>,
     scenario: &ppm::FailureScenario,
     strategy: Strategy,
     pristine: &Stripe,
     reps: usize,
 ) -> f64 {
-    let plan = decoder.plan(h, scenario, strategy).expect("plan");
+    let plan = DecodePlan::build(h, scenario, strategy, executor.config().backend).expect("plan");
     let mut best = f64::INFINITY;
     for _ in 0..reps {
         let mut broken = pristine.clone();
         broken.erase(scenario);
         let t = Instant::now();
-        decoder.decode(&plan, &mut broken).expect("decode");
+        executor.decode(&plan, &mut broken).expect("decode");
         let dt = t.elapsed().as_secs_f64();
         assert!(broken == *pristine);
         best = best.min(dt);
@@ -44,7 +46,7 @@ fn main() {
     println!("code: {}   stripe: {} MiB", code.name(), stripe_mib);
 
     let mut rng = StdRng::seed_from_u64(1);
-    let setup = Decoder::new(DecoderConfig {
+    let setup = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Auto,
     });
@@ -74,7 +76,7 @@ fn main() {
         if t > cores.max(4) {
             break;
         }
-        let dec = Decoder::new(DecoderConfig {
+        let dec = Executor::new(DecoderConfig {
             threads: t,
             backend: Backend::Auto,
         });

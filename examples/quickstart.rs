@@ -10,8 +10,8 @@
 use ppm::core::cost::{analyze, SdClosedForm};
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario,
-    LogTable, Partition, SdCode, Strategy,
+    encode, parity_consistent, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor,
+    FailureScenario, LogTable, Partition, SdCode, Strategy,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -24,10 +24,10 @@ fn main() {
     println!("H:         {} x {} parity-check matrix", h.rows(), h.cols());
 
     // --- Encode a stripe ----------------------------------------------------
-    let decoder = Decoder::new(DecoderConfig::default());
+    let executor = Executor::new(DecoderConfig::default());
     let mut rng = StdRng::seed_from_u64(2015);
     let mut stripe = random_data_stripe(&code, 64 * 1024, &mut rng);
-    encode(&code, &decoder, &mut stripe).expect("encode");
+    encode(&code, &executor, &mut stripe).expect("encode");
     assert!(parity_consistent(&h, &stripe, Backend::Auto));
     println!(
         "encoded:   {} B stripe, H·B = 0 verified",
@@ -94,8 +94,7 @@ fn main() {
     // --- Decode and verify ---------------------------------------------------
     let pristine = stripe.clone();
     stripe.erase(&scenario);
-    let plan = decoder
-        .plan(&h, &scenario, Strategy::PpmAuto)
+    let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, executor.config().backend)
         .expect("plan");
     println!(
         "\nPPM plan:  strategy {:?}, {} mult_XORs, parallelism {}",
@@ -103,7 +102,7 @@ fn main() {
         plan.mult_xors(),
         plan.parallelism()
     );
-    decoder.decode(&plan, &mut stripe).expect("decode");
+    executor.decode(&plan, &mut stripe).expect("decode");
     assert_eq!(stripe, pristine);
     println!("decoded:   all 5 faulty sectors recovered bit-exactly");
 }

@@ -11,20 +11,20 @@
 use ppm::core::encode;
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, LrcCode, RsCode, SdCode,
+    parity_consistent, Backend, DecoderConfig, ErasureCode, Executor, LrcCode, RsCode, SdCode,
     UpdatePlan,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::time::Instant;
 
 fn demo<W: ppm::GfWord, C: ErasureCode<W>>(code: &C, seed: u64) {
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Auto,
     });
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stripe = random_data_stripe(code, 64 * 1024, &mut rng);
-    encode(code, &decoder, &mut stripe).expect("encode");
+    encode(code, &executor, &mut stripe).expect("encode");
     let h = code.parity_check_matrix();
 
     let plan = UpdatePlan::build(code, Backend::Auto).expect("update plan");
@@ -43,7 +43,7 @@ fn demo<W: ppm::GfWord, C: ErasureCode<W>>(code: &C, seed: u64) {
     // Full re-encode of the same write, for comparison.
     let mut full = stripe.clone();
     let t = Instant::now();
-    encode(code, &decoder, &mut full).expect("re-encode");
+    encode(code, &executor, &mut full).expect("re-encode");
     let reencode = t.elapsed();
     assert_eq!(full, stripe, "incremental update must equal re-encode");
 

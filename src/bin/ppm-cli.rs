@@ -98,8 +98,8 @@
 
 use ppm::update::trace::{parse_trace, synthesize, SynthKind, TraceOp};
 use ppm::{
-    encode, parity_consistent, run_sim, Backend, ChaosConfig, ChaosRates, Decoder, DecoderConfig,
-    EngineConfig, ErasureCode, EvenOddCode, EvictionPolicy, ExecMode, ExecStats, FailureScenario,
+    parity_consistent, run_sim, Backend, ChaosConfig, ChaosRates, DecodePlan, DecoderConfig,
+    EngineConfig, ErasureCode, EvenOddCode, EvictionPolicy, ExecStats, Executor, FailureScenario,
     FaultInjector, FlushMode, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RepairMode,
     RepairService, RetryPolicy, RsCode, SdCode, SimConfig, SimReport, StarCode, Strategy, Stripe,
     StripeLayout, UpdateEngine,
@@ -432,23 +432,17 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
     let archive = Archive { stripes, ..archive };
     let dyn_code = archive.code.as_dyn();
 
-    let decoder = Decoder::new(DecoderConfig::default());
+    let config = DecoderConfig::default();
+    let executor = Executor::new(config);
     let data_sectors = dyn_code.data_sectors();
-    // Encoding is decoding with every parity sector "faulty" — with
-    // --stats, build that plan once and run it instrumented per stripe.
+    // Encoding is decoding with every parity sector "faulty": build that
+    // plan once and run it per stripe.
     let want_stats = flags.contains_key("stats");
     let h = dyn_code.parity_check_matrix();
     let parity_scenario = FailureScenario::new(dyn_code.parity_sectors());
     let mut agg = StatsAgg::default();
-    let stats_plan = if want_stats {
-        Some(
-            decoder
-                .plan(&h, &parity_scenario, Strategy::PpmAuto)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
+    let plan = DecodePlan::build(&h, &parity_scenario, Strategy::PpmAuto, config.backend)
+        .map_err(|e| e.to_string())?;
     for s in 0..stripes {
         let mut stripe = Stripe::zeroed(archive.layout(), sector_bytes);
         let base = s * per_stripe;
@@ -460,23 +454,18 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
             let end = (start + sector_bytes).min(data.len());
             stripe.sector_mut(sector)[..end - start].copy_from_slice(&data[start..end]);
         }
-        match &stats_plan {
-            Some(plan) => {
-                let st = decoder
-                    .decode_with_stats(plan, &mut stripe)
-                    .map_err(|e| e.to_string())?;
-                agg.add(&st);
-            }
-            None => {
-                encode(&dyn_code, &decoder, &mut stripe).map_err(|e| e.to_string())?;
-            }
+        let st = executor
+            .decode(&plan, &mut stripe)
+            .map_err(|e| e.to_string())?;
+        if want_stats {
+            agg.add(&st);
         }
         archive
             .write_stripe(s, &stripe)
             .map_err(|e| e.to_string())?;
     }
     archive.save_manifest().map_err(|e| e.to_string())?;
-    if let Some(plan) = &stats_plan {
+    if want_stats {
         println!("{}", agg.to_json(plan.mult_xors()));
     }
     println!(
@@ -516,7 +505,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
     let [dir] = pos.as_slice() else {
         return Err(
             "usage: repair <dir> [--threads T] [--workers N] [--stats] [--cache] [--verify] \
-             [--inject SEED] [--tape|--no-tape]"
+             [--inject SEED]"
                 .into(),
         );
     };
@@ -536,14 +525,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
     let want_stats = flags.contains_key("stats");
     let mut agg = StatsAgg::default();
 
-    // Execution path: compiled instruction tape by default, --no-tape
-    // falls back to the per-term graph walker (bit-identical output).
-    let exec = match (flags.contains_key("tape"), flags.contains_key("no-tape")) {
-        (true, true) => return Err("--tape and --no-tape are mutually exclusive".into()),
-        (_, true) => ExecMode::Graph,
-        _ => ExecMode::Tape,
-    };
-
     let inject_seed = match flags.get("inject") {
         Some(v) => Some(
             v.parse::<u64>()
@@ -559,9 +540,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
                     .into(),
             );
         }
-        return repair_workers(
-            &archive, dyn_code, config, &scenario, want_stats, workers, exec,
-        );
+        return repair_workers(&archive, dyn_code, config, &scenario, want_stats, workers);
     }
     if flags.contains_key("verify") {
         return repair_verified(
@@ -571,7 +550,6 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
             &scenario,
             want_stats,
             inject_seed,
-            exec,
         );
     }
     if inject_seed.is_some() {
@@ -586,17 +564,16 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         // Session path: the RepairService caches the plan by erasure
         // signature and recycles decode buffers, so stripes 1..N re-use
         // stripe 0's factorization.
-        let service = RepairService::new(dyn_code, config).with_exec_mode(exec);
+        let service = RepairService::new(dyn_code, config);
         let (plan, _) = service
             .plan_for(&scenario)
             .map_err(|e| format!("unrepairable: {e}"))?;
         println!(
-            "repairing {} lost sectors/stripe (strategy {:?}, parallelism {}, {} mult_XORs/stripe, cached plan, {:?} execution)",
+            "repairing {} lost sectors/stripe (strategy {:?}, parallelism {}, {} mult_XORs/stripe, cached plan)",
             scenario.len(),
             plan.strategy(),
             plan.parallelism(),
             plan.mult_xors(),
-            exec
         );
         let predicted = plan.mult_xors();
         drop(plan);
@@ -629,10 +606,9 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         return Ok(());
     }
 
-    let decoder = Decoder::new(config);
+    let executor = Executor::new(config);
     let h = dyn_code.parity_check_matrix();
-    let plan = decoder
-        .plan(&h, &scenario, Strategy::PpmAuto)
+    let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, config.backend)
         .map_err(|e| format!("unrepairable: {e}"))?;
     println!(
         "repairing {} lost sectors/stripe (strategy {:?}, parallelism {}, {} mult_XORs/stripe)",
@@ -646,19 +622,11 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
         if lost != scenario {
             return Err(format!("stripe {s}: inconsistent failure pattern"));
         }
+        let st = executor
+            .decode(&plan, &mut stripe)
+            .map_err(|e| e.to_string())?;
         if want_stats {
-            let st = match exec {
-                ExecMode::Tape => decoder.decode_tape_with_stats(&plan, &mut stripe),
-                ExecMode::Graph => decoder.decode_with_stats(&plan, &mut stripe),
-            }
-            .map_err(|e| e.to_string())?;
             agg.add(&st);
-        } else {
-            match exec {
-                ExecMode::Tape => decoder.decode_tape(&plan, &mut stripe),
-                ExecMode::Graph => decoder.decode(&plan, &mut stripe),
-            }
-            .map_err(|e| e.to_string())?;
         }
         archive
             .write_stripe(s, &stripe)
@@ -683,9 +651,8 @@ fn repair_workers(
     scenario: &FailureScenario,
     want_stats: bool,
     workers: usize,
-    exec: ExecMode,
 ) -> Result<(), String> {
-    let service = RepairService::new(dyn_code, config).with_exec_mode(exec);
+    let service = RepairService::new(dyn_code, config);
     let (plan, _) = service
         .plan_for(scenario)
         .map_err(|e| format!("unrepairable: {e}"))?;
@@ -756,9 +723,8 @@ fn repair_verified(
     scenario: &FailureScenario,
     want_stats: bool,
     inject_seed: Option<u64>,
-    exec: ExecMode,
 ) -> Result<(), String> {
-    let service = RepairService::new(dyn_code, config).with_exec_mode(exec);
+    let service = RepairService::new(dyn_code, config);
     let (plan, _) = service
         .plan_for(scenario)
         .map_err(|e| format!("unrepairable: {e}"))?;
@@ -1247,7 +1213,7 @@ fn split_flags(args: &[String]) -> (std::collections::HashMap<String, String>, V
     let mut flags = std::collections::HashMap::new();
     let mut pos = Vec::new();
     // Flags that take no value; everything else consumes the next token.
-    const BOOLEAN: &[&str] = &["stats", "cache", "verify", "naive", "tape", "no-tape"];
+    const BOOLEAN: &[&str] = &["stats", "cache", "verify", "naive"];
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {

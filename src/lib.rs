@@ -11,9 +11,9 @@
 //!   correlated row-burst and disk-group (rack) generators,
 //! * [`stripe`] — sector buffers and workload generation,
 //! * [`core`] — the PPM algorithm (log table, partition, cost model
-//!   `C₁..C₄`, bounded-thread parallel decode), the traditional
-//!   baseline, and the verified-repair pipeline (surplus-row parity
-//!   checks with erasure escalation),
+//!   `C₁..C₄`, compiled plan tapes, bounded-thread parallel decode),
+//!   the traditional baseline, and the verified-repair pipeline
+//!   (surplus-row parity checks with erasure escalation),
 //! * [`faults`] — deterministic seeded fault injection for exercising
 //!   that pipeline,
 //! * [`update`] — the trace-driven small-write path: coalescing dirty
@@ -25,33 +25,35 @@
 //!   run phase A locally, and only partial-sum blocks cross the wire.
 //!
 //! The most common items are re-exported at the crate root; start with
-//! [`Decoder`] and an erasure code from [`codes`].
+//! [`DecodePlan`], [`Executor`] and an erasure code from [`codes`].
 //!
 //! # Quickstart
 //!
 //! ```
-//! use ppm::{encode, Decoder, DecoderConfig, ErasureCode, FailureScenario, SdCode, Strategy};
+//! use ppm::{encode, DecodePlan, DecoderConfig, ErasureCode, Executor, SdCode, Strategy};
 //! use ppm::stripe::random_data_stripe;
 //! use rand::{rngs::StdRng, SeedableRng};
 //!
 //! // An SD code over GF(2^8): 6 disks x 8 rows, 2 parity disks, 2 sector
 //! // parities, with coefficients found by search.
 //! let code = SdCode::<u8>::search(6, 8, 2, 2, 42, 4).unwrap();
-//! let decoder = Decoder::new(DecoderConfig::default());
+//! let config = DecoderConfig::default();
+//! let executor = Executor::new(config);
 //!
 //! // Encode a random stripe.
 //! let mut rng = StdRng::seed_from_u64(7);
 //! let mut stripe = random_data_stripe(&code, 4096, &mut rng);
-//! encode(&code, &decoder, &mut stripe).unwrap();
+//! encode(&code, &executor, &mut stripe).unwrap();
 //! let pristine = stripe.clone();
 //!
 //! // Fail 2 disks + 2 extra sectors (the paper's worst case), then decode.
 //! let scenario = code.decodable_worst_case(1, &mut rng, 100).unwrap();
 //! stripe.erase(&scenario);
 //! let h = code.parity_check_matrix();
-//! let plan = decoder.plan(&h, &scenario, Strategy::PpmAuto).unwrap();
-//! decoder.decode(&plan, &mut stripe).unwrap();
+//! let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, config.backend).unwrap();
+//! let stats = executor.decode(&plan, &mut stripe).unwrap();
 //! assert_eq!(stripe, pristine);
+//! assert!(stats.matches_prediction());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -76,10 +78,10 @@ pub use ppm_codes::{
 };
 pub use ppm_core::{
     cost, encode, parity_consistent, ArenaStats, BatchReport, CalcSequence, DecodeError,
-    DecodePlan, Decoder, DecoderConfig, ExecMode, ExecStats, ExecutableWirePlan, Executor,
-    LogTable, ParallelismCase, Partition, PlanCache, PlanCacheStats, PlanKey, PlanTape, Planner,
-    RepairError, RepairService, ScratchArena, Strategy, SubPlanStats, UpdatePlan, UpdateStats,
-    VerifyReport, VerifyStats, WireError, WirePartials, WirePlan,
+    DecodePlan, DecoderConfig, ExecStats, Executor, LogTable, ParallelismCase, Partition,
+    PlanCache, PlanCacheStats, PlanKey, PlanTape, Planner, RepairError, RepairService,
+    ScratchArena, Strategy, SubPlanStats, UpdatePlan, UpdateStats, VerifyReport, VerifyStats,
+    WireError, WirePartials, WirePlan,
 };
 pub use ppm_faults::{BitFlip, FaultInjector};
 pub use ppm_gf::{Backend, GfWord, RegionMul};

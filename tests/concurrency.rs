@@ -8,8 +8,8 @@
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario, RepairService, SdCode,
-    Strategy, Stripe,
+    encode, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor, FailureScenario,
+    RepairService, SdCode, Strategy, Stripe,
 };
 use rand::{rngs::StdRng, SeedableRng};
 use std::sync::Barrier;
@@ -29,7 +29,7 @@ fn test_code() -> SdCode<u8> {
 }
 
 fn encoded_stripes(code: &SdCode<u8>, count: usize, sector_bytes: usize, seed: u64) -> Vec<Stripe> {
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Auto,
     });
@@ -37,7 +37,7 @@ fn encoded_stripes(code: &SdCode<u8>, count: usize, sector_bytes: usize, seed: u
     (0..count)
         .map(|_| {
             let mut stripe = random_data_stripe(code, sector_bytes, &mut rng);
-            encode(code, &decoder, &mut stripe).expect("encode");
+            encode(code, &executor, &mut stripe).expect("encode");
             stripe
         })
         .collect()
@@ -152,7 +152,7 @@ fn concurrent_disjoint_keys_retain_every_entry() {
 
 /// Warm cache hits under concurrency return the same plan the cold build
 /// produced: every concurrently-repaired stripe must be bit-identical to
-/// the one a plain serial decoder recovers from the same damage.
+/// the one a plain serial executor recovers from the same damage.
 #[test]
 fn warm_concurrent_repairs_match_serial_decode() {
     const THREADS: usize = 6;
@@ -164,18 +164,17 @@ fn warm_concurrent_repairs_match_serial_decode() {
         .expect("scenario");
     let pristine = encoded_stripes(&code, THREADS, 320, seed.wrapping_add(2));
 
-    // Serial baseline: a plain decoder, fresh plan, stripe by stripe.
-    let decoder = Decoder::new(serial_config());
+    // Serial baseline: a plain executor, fresh plan, stripe by stripe.
+    let executor = Executor::new(serial_config());
     let h = code.parity_check_matrix();
-    let plan = decoder
-        .plan(&h, &scenario, Strategy::PpmAuto)
+    let plan = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, executor.config().backend)
         .expect("plan");
     let baseline: Vec<Stripe> = pristine
         .iter()
         .map(|p| {
             let mut broken = p.clone();
             broken.erase(&scenario);
-            decoder.decode(&plan, &mut broken).expect("decode");
+            executor.decode(&plan, &mut broken).expect("decode");
             broken
         })
         .collect();

@@ -3,9 +3,9 @@
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
-    FailureScenario, GfWord, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode, RsCode,
-    SdCode, Strategy,
+    encode, parity_consistent, Backend, DecodePlan, DecoderConfig, ErasureCode, EvenOddCode,
+    Executor, FailureScenario, GfWord, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RdpCode,
+    RsCode, SdCode, Strategy,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -23,14 +23,14 @@ fn roundtrip<W: GfWord, C: ErasureCode<W>>(
     seed: u64,
     threads: usize,
 ) {
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads,
         backend: Backend::Auto,
     });
     let h = code.parity_check_matrix();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stripe = random_data_stripe(code, 64, &mut rng);
-    encode(code, &decoder, &mut stripe).expect("encode");
+    encode(code, &executor, &mut stripe).expect("encode");
     assert!(
         parity_consistent(&h, &stripe, Backend::Auto),
         "{}: encode left inconsistent parity",
@@ -40,8 +40,8 @@ fn roundtrip<W: GfWord, C: ErasureCode<W>>(
     for &strategy in &STRATEGIES {
         let mut broken = pristine.clone();
         broken.erase(scenario);
-        decoder
-            .decode_scenario(&h, scenario, strategy, &mut broken)
+        DecodePlan::build(&h, scenario, strategy, executor.config().backend)
+            .and_then(|plan| executor.decode(&plan, &mut broken))
             .unwrap_or_else(|e| panic!("{} {strategy:?}: {e}", code.name()));
         assert_eq!(broken, pristine, "{} {strategy:?}", code.name());
     }
@@ -146,11 +146,11 @@ fn evenodd_single_disk_is_fully_parallel() {
     let eo = EvenOddCode::<u8>::new(7).unwrap();
     let h = eo.parity_check_matrix();
     let sc = FailureScenario::whole_disks(eo.layout(), &[2]);
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 2,
         backend: Backend::Auto,
     });
-    let plan = decoder.plan(&h, &sc, Strategy::PpmAuto).unwrap();
+    let plan = DecodePlan::build(&h, &sc, Strategy::PpmAuto, executor.config().backend).unwrap();
     assert_eq!(plan.parallelism(), eo.layout().r);
     roundtrip(&eo, &sc, 80, 4);
 }

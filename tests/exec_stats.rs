@@ -1,5 +1,5 @@
 //! Runtime cross-check of the §III-B cost model: the telemetry returned
-//! by [`Decoder::decode_with_stats`] must report *exactly* the number of
+//! by [`Executor::decode`] must report *exactly* the number of
 //! `mult_XORs` the planner predicted. The executed counters are bumped by
 //! the region kernels themselves, so any drift between the plan compiler
 //! and the data path — a skipped term, a double-applied coefficient, a
@@ -8,13 +8,13 @@
 use ppm::core::cost::analyze;
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Backend, Decoder, DecoderConfig, ErasureCode, ExecStats, FailureScenario, GfWord,
-    LrcCode, PmdsCode, SdCode, Strategy,
+    encode, Backend, DecodePlan, DecoderConfig, ErasureCode, ExecStats, Executor, FailureScenario,
+    GfWord, LrcCode, PmdsCode, SdCode, Strategy,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
-fn decoder(threads: usize) -> Decoder {
-    Decoder::new(DecoderConfig {
+fn executor(threads: usize) -> Executor {
+    Executor::new(DecoderConfig {
         threads,
         backend: Backend::Scalar,
     })
@@ -29,7 +29,7 @@ fn check<W: GfWord, C: ErasureCode<W>>(
     strategy: Strategy,
     seed: u64,
 ) -> ExecStats {
-    let dec = decoder(threads);
+    let dec = executor(threads);
     let h = code.parity_check_matrix();
     let mut rng = StdRng::seed_from_u64(seed);
     let mut stripe = random_data_stripe(code, 64 * W::BYTES, &mut rng);
@@ -37,8 +37,8 @@ fn check<W: GfWord, C: ErasureCode<W>>(
     let pristine = stripe.clone();
     stripe.erase(scenario);
 
-    let plan = dec.plan(&h, scenario, strategy).expect("plan");
-    let stats = dec.decode_with_stats(&plan, &mut stripe).expect("decode");
+    let plan = DecodePlan::build(&h, scenario, strategy, dec.config().backend).expect("plan");
+    let stats = dec.decode(&plan, &mut stripe).expect("decode");
     assert_eq!(
         stripe,
         pristine,
@@ -177,17 +177,17 @@ fn restricted_plan_invalidates_cost_report_and_stays_on_ledger() {
     let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
     let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
     let h = code.parity_check_matrix();
-    let dec = decoder(2);
+    let dec = executor(2);
     let mut rng = StdRng::seed_from_u64(11);
     let mut stripe = random_data_stripe(&code, 64, &mut rng);
     encode(&code, &dec, &mut stripe).expect("encode");
     let pristine = stripe.clone();
 
-    let full = dec.plan(&h, &sc, Strategy::PpmAuto).expect("plan");
+    let full = DecodePlan::build(&h, &sc, Strategy::PpmAuto, dec.config().backend).expect("plan");
     assert!(full.predicted_costs().is_some(), "auto plan carries C1..C4");
 
     for wanted in [vec![2usize], vec![13], vec![6, 14], sc.faulty().to_vec()] {
-        let plan = full.restrict_to(&wanted);
+        let plan = full.restrict_to(&wanted).expect("restrict");
         // The carried report is explicitly invalidated, never stale.
         assert!(
             plan.predicted_costs().is_none(),
@@ -197,7 +197,7 @@ fn restricted_plan_invalidates_cost_report_and_stays_on_ledger() {
 
         let mut broken = pristine.clone();
         broken.erase(&sc);
-        let stats = dec.decode_with_stats(&plan, &mut broken).expect("decode");
+        let stats = dec.decode(&plan, &mut broken).expect("decode");
         for &w in &wanted {
             assert_eq!(broken.sector(w), pristine.sector(w), "wanted {w}");
         }

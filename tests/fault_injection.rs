@@ -1,7 +1,7 @@
 //! End-to-end fault-injection tests for the verified-repair pipeline:
 //! deterministic seeded corruption of surviving sectors across the
 //! SD / PMDS / LRC grid, the {1, 4}-thread × {Scalar, Auto-SIMD}
-//! decoder matrix, geometry and label faults, and the forced
+//! executor matrix, geometry and label faults, and the forced
 //! SIMD-miscompute switch with its scalar fallback.
 //!
 //! Every fault is drawn from [`FaultInjector`] with a fixed seed, so a
@@ -30,7 +30,7 @@ use std::sync::{Mutex, PoisonError};
 /// switch (same discipline as `crates/gf/tests/fault_hooks.rs`).
 static FAULT_LOCK: Mutex<()> = Mutex::new(());
 
-/// The decoder configurations the grid runs under.
+/// The executor configurations the grid runs under.
 fn config_matrix() -> Vec<DecoderConfig> {
     let mut m = vec![
         DecoderConfig {
@@ -183,7 +183,7 @@ proptest! {
         let mut inj = FaultInjector::new(seed);
         for mut bad in [inj.truncated_stripe(&stripe), inj.misaligned_stripe(&stripe)] {
             match svc.repair_verified(&mut bad, &scenario) {
-                Err(RepairError::GeometryMismatch { .. } | RepairError::BadChunkSize { .. }) => {}
+                Err(RepairError::GeometryMismatch { .. }) => {}
                 Err(RepairError::SectorOutOfRange { .. }) => {}
                 other => {
                     return Err(TestCaseError::fail(format!(

@@ -5,8 +5,8 @@
 use ppm::core::cost::{analyze, SdClosedForm};
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario,
-    LogTable, Partition, SdCode, Strategy,
+    encode, parity_consistent, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor,
+    FailureScenario, LogTable, Partition, SdCode, Strategy,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
@@ -114,17 +114,17 @@ fn full_roundtrip_matrix() {
         Strategy::PpmAuto,
     ] {
         for threads in [1usize, 3, 4] {
-            let decoder = Decoder::new(DecoderConfig {
+            let executor = Executor::new(DecoderConfig {
                 threads,
                 backend: Backend::Auto,
             });
             let mut stripe = random_data_stripe(&code, 256, &mut rng);
-            encode(&code, &decoder, &mut stripe).unwrap();
+            encode(&code, &executor, &mut stripe).unwrap();
             assert!(parity_consistent(&h, &stripe, Backend::Auto));
             let pristine = stripe.clone();
             stripe.erase(&scenario());
-            decoder
-                .decode_scenario(&h, &scenario(), strategy, &mut stripe)
+            DecodePlan::build(&h, &scenario(), strategy, executor.config().backend)
+                .and_then(|plan| executor.decode(&plan, &mut stripe))
                 .unwrap();
             assert_eq!(stripe, pristine, "{strategy:?} T={threads}");
         }
@@ -137,7 +137,7 @@ fn full_roundtrip_matrix() {
 fn encode_is_decode_special_case() {
     let code = code();
     let h = code.parity_check_matrix();
-    let decoder = Decoder::new(DecoderConfig {
+    let executor = Executor::new(DecoderConfig {
         threads: 1,
         backend: Backend::Scalar,
     });
@@ -146,18 +146,18 @@ fn encode_is_decode_special_case() {
 
     // Encode by explicitly decoding the parity positions.
     let parity_scenario = FailureScenario::new(code.parity_sectors());
-    decoder
-        .decode_scenario(
-            &h,
-            &parity_scenario,
-            Strategy::TraditionalNormal,
-            &mut stripe,
-        )
-        .unwrap();
+    DecodePlan::build(
+        &h,
+        &parity_scenario,
+        Strategy::TraditionalNormal,
+        executor.config().backend,
+    )
+    .and_then(|plan| executor.decode(&plan, &mut stripe))
+    .unwrap();
     assert!(parity_consistent(&h, &stripe, Backend::Scalar));
 
     // And it matches the encode() convenience function.
     let mut stripe2 = random_data_stripe(&code, 128, &mut StdRng::seed_from_u64(5));
-    encode(&code, &decoder, &mut stripe2).unwrap();
+    encode(&code, &executor, &mut stripe2).unwrap();
     assert_eq!(stripe, stripe2);
 }

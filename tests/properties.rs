@@ -4,9 +4,9 @@
 use ppm::core::cost::analyze;
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, EvenOddCode,
-    FailureScenario, HitchhikerXor, LrcCode, Partition, PmdsCode, ProductCode, RdpCode, RsCode,
-    SdCode, StarCode, Strategy,
+    encode, parity_consistent, Backend, DecodePlan, DecoderConfig, ErasureCode, EvenOddCode,
+    Executor, FailureScenario, HitchhikerXor, LrcCode, Partition, PmdsCode, ProductCode, RdpCode,
+    RsCode, SdCode, StarCode, Strategy,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -115,16 +115,17 @@ proptest! {
             return Ok(());
         }
 
-        let decoder = Decoder::new(DecoderConfig { threads: 2, backend: Backend::Scalar });
+        let executor = Executor::new(DecoderConfig { threads: 2, backend: Backend::Scalar });
         let mut stripe = random_data_stripe(&code, 32, &mut rng);
-        encode(&code, &decoder, &mut stripe).unwrap();
+        encode(&code, &executor, &mut stripe).unwrap();
         prop_assert!(parity_consistent(&h, &stripe, Backend::Scalar));
         let pristine = stripe.clone();
 
         for strategy in [Strategy::PpmAuto, Strategy::TraditionalNormal] {
             let mut broken = pristine.clone();
             broken.erase(&scenario);
-            decoder.decode_scenario(&h, &scenario, strategy, &mut broken).unwrap();
+            DecodePlan::build(&h, &scenario, strategy, executor.config().backend)
+.and_then(|plan| executor.decode(&plan, &mut broken)).unwrap();
             prop_assert_eq!(&broken, &pristine);
         }
     }
@@ -212,8 +213,8 @@ proptest! {
             return Ok(()); // undecodable; every strategy must refuse
         }
         let report = analyze(&h, &scenario).unwrap();
-        let decoder = Decoder::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
-        let auto = decoder.plan(&h, &scenario, Strategy::PpmAuto).unwrap();
+        let executor = Executor::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
+        let auto = DecodePlan::build(&h, &scenario, Strategy::PpmAuto, executor.config().backend).unwrap();
         let min = report.c1.min(report.c2).min(report.c3).min(report.c4);
         prop_assert_eq!(auto.mult_xors(), min);
     }
@@ -228,13 +229,14 @@ proptest! {
         let Some(scenario) = code.decodable_disk_failures(k_groups.min(3), &mut rng, 200) else {
             return Ok(());
         };
-        let decoder = Decoder::new(DecoderConfig { threads: 2, backend: Backend::Scalar });
+        let executor = Executor::new(DecoderConfig { threads: 2, backend: Backend::Scalar });
         let h = code.parity_check_matrix();
         let mut stripe = random_data_stripe(&code, 16, &mut rng);
-        encode(&code, &decoder, &mut stripe).unwrap();
+        encode(&code, &executor, &mut stripe).unwrap();
         let pristine = stripe.clone();
         stripe.erase(&scenario);
-        decoder.decode_scenario(&h, &scenario, Strategy::PpmAuto, &mut stripe).unwrap();
+        DecodePlan::build(&h, &scenario, Strategy::PpmAuto, executor.config().backend)
+.and_then(|plan| executor.decode(&plan, &mut stripe)).unwrap();
         prop_assert_eq!(stripe, pristine);
     }
 
@@ -247,10 +249,10 @@ proptest! {
     ) {
         use ppm::UpdatePlan;
         let code = SdCode::<u8>::new(6, 4, 2, 1, vec![1, 2, 4]).unwrap();
-        let decoder = Decoder::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
+        let executor = Executor::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
         let mut rng = StdRng::seed_from_u64(seed);
         let mut incremental = random_data_stripe(&code, 32, &mut rng);
-        encode(&code, &decoder, &mut incremental).unwrap();
+        encode(&code, &executor, &mut incremental).unwrap();
         let mut reencoded = incremental.clone();
 
         let plan = UpdatePlan::build(&code, Backend::Scalar).unwrap();
@@ -264,7 +266,7 @@ proptest! {
             reencoded.write_sector(sector, &new_data);
         }
         // One full re-encode at the end must land on the same stripe.
-        encode(&code, &decoder, &mut reencoded).unwrap();
+        encode(&code, &executor, &mut reencoded).unwrap();
         prop_assert_eq!(&incremental, &reencoded);
         prop_assert!(parity_consistent(&h, &incremental, Backend::Scalar));
     }
@@ -276,19 +278,19 @@ proptest! {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
         let h = code.parity_check_matrix();
         let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-        let decoder = Decoder::new(DecoderConfig { threads: 2, backend: Backend::Scalar });
+        let executor = Executor::new(DecoderConfig { threads: 2, backend: Backend::Scalar });
         let mut rng = StdRng::seed_from_u64(seed);
         let mut stripe = random_data_stripe(&code, 32, &mut rng);
-        encode(&code, &decoder, &mut stripe).unwrap();
+        encode(&code, &executor, &mut stripe).unwrap();
         let pristine = stripe.clone();
 
         let wanted = [scenario.faulty()[pick % scenario.len()]];
-        let plan = decoder
-            .plan(&h, &scenario, Strategy::PpmNormalRest)
+        let plan = DecodePlan::build(&h, &scenario, Strategy::PpmNormalRest, executor.config().backend)
             .unwrap()
-            .restrict_to(&wanted);
+            .restrict_to(&wanted)
+            .unwrap();
         stripe.erase(&scenario);
-        decoder.decode(&plan, &mut stripe).unwrap();
+        executor.decode(&plan, &mut stripe).unwrap();
         prop_assert_eq!(stripe.sector(wanted[0]), pristine.sector(wanted[0]));
     }
 
@@ -297,10 +299,10 @@ proptest! {
     #[test]
     fn corruption_always_detected(sector in 0usize..16, byte in 0usize..32, bit in 0u8..8) {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
-        let decoder = Decoder::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
+        let executor = Executor::new(DecoderConfig { threads: 1, backend: Backend::Scalar });
         let mut rng = StdRng::seed_from_u64(9);
         let mut stripe = random_data_stripe(&code, 32, &mut rng);
-        encode(&code, &decoder, &mut stripe).unwrap();
+        encode(&code, &executor, &mut stripe).unwrap();
         let h = code.parity_check_matrix();
         stripe.sector_mut(sector)[byte] ^= 1 << bit;
         prop_assert!(!parity_consistent(&h, &stripe, Backend::Scalar));

@@ -1,68 +1,27 @@
-//! Differential test: the region-operation decoder must agree with a
+//! Differential test: the region-operation executor must agree with a
 //! word-level reference solver that uses nothing but `Matrix` arithmetic.
 //!
 //! A stripe with `B`-byte sectors over GF(2^w) is exactly `B / (w/8)`
 //! independent copies of the word-level code: byte-column `t` of every
 //! sector forms a codeword vector. The reference solver extracts each
 //! word column, computes `BF = F⁻¹ · (S · BS)` with plain matrix–vector
-//! products, and writes the words back. Any disagreement with the
-//! region decoder exposes a bug in the table-driven kernels, the plan
-//! compiler, or the parallel executor.
+//! products, and writes the words back (`tests/common`). Any
+//! disagreement with the region executor exposes a bug in the
+//! table-driven kernels, the plan compiler, or the tape executor.
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario, GfWord, LrcCode, Matrix,
-    SdCode, Strategy, Stripe,
+    encode, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor, FailureScenario, GfWord,
+    LrcCode, SdCode, Strategy,
 };
 use rand::{rngs::StdRng, SeedableRng};
 
-fn load_word<W: GfWord>(sector: &[u8], t: usize) -> W {
-    let mut x = 0u64;
-    for i in 0..W::BYTES {
-        x |= (sector[t * W::BYTES + i] as u64) << (8 * i);
-    }
-    W::from_u64(x)
-}
-
-fn store_word<W: GfWord>(sector: &mut [u8], t: usize, v: W) {
-    let x = v.to_u64();
-    for i in 0..W::BYTES {
-        sector[t * W::BYTES + i] = (x >> (8 * i)) as u8;
-    }
-}
-
-/// Recovers the faulty sectors of `stripe` word by word with pure matrix
-/// arithmetic.
-fn reference_decode<W: GfWord>(h: &Matrix<W>, scenario: &FailureScenario, stripe: &mut Stripe) {
-    let total = stripe.layout().sectors();
-    let faulty = scenario.faulty();
-    let surviving = scenario.surviving(total);
-    let f_all = h.select_columns(faulty);
-    let rows = f_all.select_independent_rows();
-    assert_eq!(
-        rows.len(),
-        faulty.len(),
-        "reference: scenario must be decodable"
-    );
-    let f_inv = f_all.select_rows(&rows).inverse().unwrap();
-    let s = h.select_rows(&rows).select_columns(&surviving);
-
-    let words = stripe.sector_bytes() / W::BYTES;
-    for t in 0..words {
-        let bs: Vec<W> = surviving
-            .iter()
-            .map(|&l| load_word(stripe.sector(l), t))
-            .collect();
-        let bf = f_inv.mul_vec(&s.mul_vec(&bs));
-        for (&sector, &v) in faulty.iter().zip(&bf) {
-            store_word(stripe.sector_mut(sector), t, v);
-        }
-    }
-}
+mod common;
+use common::reference_decode;
 
 fn differential<W: GfWord, C: ErasureCode<W>>(code: &C, scenario: &FailureScenario, seed: u64) {
     let h = code.parity_check_matrix();
-    let enc = Decoder::new(DecoderConfig {
+    let enc = Executor::new(DecoderConfig {
         threads: 2,
         backend: Backend::Auto,
     });
@@ -82,7 +41,7 @@ fn differential<W: GfWord, C: ErasureCode<W>>(code: &C, scenario: &FailureScenar
         code.name()
     );
 
-    // Region path: every strategy under the full decoder configuration
+    // Region path: every strategy under the full executor configuration
     // matrix — serial and parallel executors, scalar and (where the host
     // supports it) SIMD region kernels must all agree with the word-level
     // reference.
@@ -92,7 +51,7 @@ fn differential<W: GfWord, C: ErasureCode<W>>(code: &C, scenario: &FailureScenar
     };
     for threads in [1usize, 2, 4] {
         for &backend in &backends {
-            let decoder = Decoder::new(DecoderConfig { threads, backend });
+            let executor = Executor::new(DecoderConfig { threads, backend });
             for strategy in [
                 Strategy::TraditionalNormal,
                 Strategy::TraditionalMatrixFirst,
@@ -102,13 +61,13 @@ fn differential<W: GfWord, C: ErasureCode<W>>(code: &C, scenario: &FailureScenar
             ] {
                 let mut by_regions = pristine.clone();
                 by_regions.erase(scenario);
-                decoder
-                    .decode_scenario(&h, scenario, strategy, &mut by_regions)
+                DecodePlan::build(&h, scenario, strategy, executor.config().backend)
+                    .and_then(|plan| executor.decode(&plan, &mut by_regions))
                     .unwrap();
                 assert_eq!(
                     by_regions,
                     by_reference,
-                    "{}: region decoder diverges from reference \
+                    "{}: region executor diverges from reference \
                      ({strategy:?}, T={threads}, {backend:?})",
                     code.name()
                 );

@@ -1,11 +1,11 @@
 //! Integration tests for the repair-session layer: canonical cache-key
-//! properties, warm-vs-cold bit-identity across the decoder
+//! properties, warm-vs-cold bit-identity across the executor
 //! configuration matrix, LRU eviction, and stats plumbing through
 //! [`RepairService`].
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, Backend, Decoder, DecoderConfig, FailureScenario, PlanKey, RepairService, SdCode,
+    encode, Backend, DecoderConfig, Executor, FailureScenario, PlanKey, RepairService, SdCode,
     Strategy,
 };
 use proptest::collection::vec as pvec;
@@ -137,7 +137,7 @@ fn session_cache_evicts_least_recently_used() {
     let svc = RepairService::new(&code, config).with_cache_capacity(2);
 
     // Encode outside the session so the cache only ever sees repairs.
-    let dec = Decoder::new(config);
+    let dec = Executor::new(config);
     let mut rng = StdRng::seed_from_u64(9);
     let mut stripe = random_data_stripe(&code, 64, &mut rng);
     encode(&code, &dec, &mut stripe).unwrap();
@@ -166,11 +166,11 @@ fn session_cache_evicts_least_recently_used() {
     assert_eq!(s.capacity, 2);
 }
 
-/// Batch and chunked decodes through the session report complete
-/// per-stripe stats (the executed == predicted ledger holds) with the
-/// cache counters attached, and restore every stripe.
+/// Batch repairs through the session report complete per-stripe stats
+/// (the executed == predicted ledger holds) with the cache counters
+/// attached, and restore every stripe.
 #[test]
-fn batch_and_chunked_report_full_stats() {
+fn batch_reports_full_stats() {
     let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
     let scenario = FailureScenario::new(vec![2, 6, 10, 13, 14]);
     let svc = RepairService::new(
@@ -184,7 +184,7 @@ fn batch_and_chunked_report_full_stats() {
 
     let mut pristine = Vec::new();
     let mut broken = Vec::new();
-    for _ in 0..4 {
+    for _ in 0..8 {
         let mut s = random_data_stripe(svc.code(), 64, &mut rng);
         svc.encode(&mut s).unwrap();
         let mut b = s.clone();
@@ -193,24 +193,22 @@ fn batch_and_chunked_report_full_stats() {
         broken.push(b);
     }
 
-    let all = svc.decode_batch(&mut broken, &scenario).unwrap();
-    assert_eq!(broken, pristine, "batch restores every stripe in order");
-    assert_eq!(all.len(), 4);
-    for stats in &all {
-        assert!(stats.matches_prediction(), "batched stats stay on ledger");
-        assert!(stats.cache.is_some(), "cache counters attached");
+    // Both driver modes: intra-stripe (one worker) and one worker per
+    // stripe chunk.
+    for workers in [1, 4] {
+        let mut batch = broken.clone();
+        let report = svc.repair_batch(&mut batch, &scenario, workers).unwrap();
+        assert_eq!(batch, pristine, "batch restores every stripe in order");
+        assert_eq!(report.inter_stripe, workers > 1);
+        assert_eq!(report.stripes(), 8);
+        for stats in &report.stats {
+            assert!(stats.matches_prediction(), "batched stats stay on ledger");
+            let cache = stats.cache.expect("cache counters attached");
+            assert!(cache.hit_rate() > 0.0);
+            assert!(
+                stats.to_json().contains("\"cache\":{\"hits\":"),
+                "JSON embeds counters"
+            );
+        }
     }
-
-    let mut b = pristine[0].clone();
-    b.erase(&scenario);
-    let stats = svc.decode_chunked(&mut b, &scenario, 32).unwrap();
-    assert_eq!(b, pristine[0]);
-    assert!(stats.matches_prediction(), "chunked stats stay on ledger");
-    let cache = stats.cache.expect("cache counters attached");
-    assert!(cache.hit_rate() > 0.0);
-    let json = stats.to_json();
-    assert!(
-        json.contains("\"cache\":{\"hits\":"),
-        "JSON embeds counters"
-    );
 }

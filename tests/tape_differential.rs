@@ -1,20 +1,26 @@
 //! Differential suite for the compiled instruction tape: on every code
-//! family of the evaluation (SD, PMDS, LRC, RS), across thread budgets
-//! and GF backends, the tape executor must be bit-identical to the
-//! per-term graph walker — for decode, for surplus-row verification,
-//! and for the lowered delta-update path — with executed mult_XORs
-//! equal to the planner's prediction on both sides.
+//! family of the evaluation (SD, PMDS, LRC, RS, product, Hitchhiker),
+//! across thread budgets and GF backends, the tape executor must be
+//! bit-identical to the word-level reference in `tests/common` — the
+//! reference solver for decode, a word-level evaluation of the plan's
+//! surplus rows for verification — and the lowered delta-update path
+//! must match a full re-encode, with executed mult_XORs equal to the
+//! planner's prediction throughout. (The `*_tape_matches_graph` test
+//! names date from when the oracle was a per-term graph walker.)
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
 //! run this under a seed matrix without recompiling.
 
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    encode, parity_consistent, Backend, Decoder, DecoderConfig, ErasureCode, FailureScenario,
-    HitchhikerXor, LrcCode, PmdsCode, ProductCode, RepairService, RsCode, SdCode, Strategy, Stripe,
-    UpdatePlan,
+    encode, parity_consistent, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor,
+    FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RepairService, RsCode, SdCode,
+    Strategy, Stripe, UpdatePlan,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
+
+mod common;
+use common::{reference_decode, reference_violated_rows};
 
 fn seed_from_env() -> u64 {
     std::env::var("PPM_SEED")
@@ -44,53 +50,50 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
     let mut verified = false;
     for &(threads, backend) in GRID {
         let label = format!("threads={threads} backend={backend:?} faulty={scenario:?}");
-        let decoder = Decoder::new(DecoderConfig { threads, backend });
+        let executor = Executor::new(DecoderConfig { threads, backend });
         let mut rng = StdRng::seed_from_u64(seed);
         let mut pristine = random_data_stripe(code, 256, &mut rng);
-        encode(code, &decoder, &mut pristine).expect("encode");
-        let plan = decoder.plan(&h, scenario, Strategy::PpmAuto).expect("plan");
+        encode(code, &executor, &mut pristine).expect("encode");
+        let plan = DecodePlan::build(&h, scenario, Strategy::PpmAuto, backend).expect("plan");
 
-        // Decode leg: same bytes, same ledger, both matching prediction.
-        let mut via_graph = pristine.clone();
-        via_graph.erase(scenario);
-        let g = decoder
-            .decode_with_stats(&plan, &mut via_graph)
-            .expect("graph decode");
+        // Decode leg: the tape recovers exactly what the word-level
+        // reference solver recovers, on the predicted ledger.
+        let mut by_reference = pristine.clone();
+        by_reference.erase(scenario);
+        reference_decode(&h, scenario, &mut by_reference);
+        assert_eq!(by_reference, pristine, "reference recovery ({label})");
         let mut via_tape = pristine.clone();
         via_tape.erase(scenario);
-        let t = decoder
-            .decode_tape_with_stats(&plan, &mut via_tape)
-            .expect("tape decode");
-        assert_eq!(via_graph, pristine, "graph recovery ({label})");
-        assert_eq!(via_tape, pristine, "tape recovery ({label})");
-        assert!(t.tape && !g.tape, "stats label the path taken ({label})");
-        assert!(g.matches_prediction(), "graph ledger ({label})");
-        assert!(t.matches_prediction(), "tape ledger ({label})");
-        assert_eq!(
-            t.executed_mult_xors(),
-            g.executed_mult_xors(),
-            "identical op counts ({label})"
-        );
+        let stats = executor.decode(&plan, &mut via_tape).expect("tape decode");
+        assert_eq!(via_tape, by_reference, "tape matches reference ({label})");
+        assert!(stats.matches_prediction(), "tape ledger ({label})");
 
-        // Verify leg: clean on the recovered stripe, and the same rows
-        // flagged once a surviving sector is corrupted.
+        // Verify leg: the tape verifier flags exactly the surplus rows a
+        // word-level evaluation flags — none on the recovered stripe,
+        // the same ones once a surviving sector is corrupted.
         if plan.supports_verify() {
             verified = true;
-            let rg = decoder.verify(&plan, &via_graph).expect("graph verify");
-            let rt = decoder.verify_tape(&plan, &via_tape).expect("tape verify");
-            assert!(rg.clean() && rt.clean(), "clean verify ({label})");
-            assert_eq!(rg.rows_checked, rt.rows_checked, "rows checked ({label})");
+            let rows = plan.surplus_row_indices();
+            let report = executor.verify(&plan, &via_tape).expect("tape verify");
+            assert!(report.clean(), "clean verify ({label})");
+            assert_eq!(report.rows_checked, rows.len(), "rows checked ({label})");
+            assert_eq!(
+                report.stats.mult_xors,
+                plan.verify_mult_xors() as u64,
+                "verify ledger ({label})"
+            );
+            assert!(reference_violated_rows(&h, &rows, &via_tape).is_empty());
 
             let victim = (0..plan.total_sectors())
                 .find(|s| !scenario.faulty().contains(s))
                 .expect("a surviving sector exists");
             let mut corrupt = via_tape.clone();
             corrupt.sector_mut(victim)[0] ^= 0x5A;
-            let rg = decoder.verify(&plan, &corrupt).expect("graph verify");
-            let rt = decoder.verify_tape(&plan, &corrupt).expect("tape verify");
+            let report = executor.verify(&plan, &corrupt).expect("tape verify");
             assert_eq!(
-                rg.violated_rows, rt.violated_rows,
-                "identical violation report ({label})"
+                report.violated_rows,
+                reference_violated_rows(&h, &rows, &corrupt),
+                "violation report matches reference ({label})"
             );
         }
 
@@ -112,7 +115,7 @@ fn delta_update_leg<C: ErasureCode<u8>>(
     seed: u64,
     label: &str,
 ) {
-    let decoder = Decoder::new(DecoderConfig { threads, backend });
+    let executor = Executor::new(DecoderConfig { threads, backend });
     let mut rng = StdRng::seed_from_u64(seed ^ 0xDA7A);
     let data = code.data_sectors();
     let d = data[rng.random_range(0..data.len())];
@@ -122,7 +125,7 @@ fn delta_update_leg<C: ErasureCode<u8>>(
     // Reference: write the sector and recompute every parity from scratch.
     let mut reference = pristine.clone();
     reference.write_sector(d, &new_data);
-    encode(code, &decoder, &mut reference).expect("re-encode");
+    encode(code, &executor, &mut reference).expect("re-encode");
 
     let up = UpdatePlan::build(code, backend).expect("update plan");
     let mut patched = pristine.clone();

@@ -1,102 +1,32 @@
-//! Length-prefixed frames and the v2 integrity envelope.
+//! The sealed frame envelope every coordinator↔worker message travels
+//! in.
 //!
-//! **Raw framing (v1).** Every message crosses a stream as a
-//! little-endian `u32` byte count followed by that many payload bytes.
-//! This is the only thing a stream transport (TCP, Unix socket, pipe)
-//! needs on top of `io::Read`/`io::Write`; the in-process channel
-//! transport moves whole frames and skips the prefix, but both sides
-//! account traffic as if the prefix were present so byte counts are
-//! comparable across transports.
-//!
-//! **Integrity envelope (v2).** A v1 frame is defenseless: a flipped
-//! bit decodes into garbage sectors, a duplicated frame replays a
-//! request, and neither is *detected*. The v2 envelope wraps a payload
-//! as
+//! A frame wraps one protocol payload as
 //!
 //! ```text
 //! [0xC2][version=2][seq: u32 LE][crc32: u32 LE][payload ...]
 //! ```
 //!
 //! where the CRC covers the version byte, the sequence number, and the
-//! payload — so corruption anywhere past the magic byte is caught, and
-//! a corrupted magic byte demotes the frame to "unrecognized v1" which
-//! the protocol layer rejects. The sequence number is per-direction
-//! monotonic; receivers drop non-advancing sequences as duplicates.
-//! Version negotiation is *in-band and per-frame*: a receiver
-//! recognizes both shapes ([`unseal`]) and a worker answers in the
-//! version the request arrived in, so a v1 peer interoperates with a
-//! v2 peer without a handshake — it simply never gets (or needs to
-//! send) an envelope.
+//! payload. [`unseal`] accepts a frame only when every part of it
+//! checks out: a missing magic byte is [`FrameError::BadMagic`], a cut
+//! header [`FrameError::TooShort`], another version
+//! [`FrameError::BadVersion`], and anything else bent past the magic a
+//! [`FrameError::Crc`] — so a flipped bit or a truncation anywhere in
+//! the frame is detected, never decoded. The sequence number is
+//! per-direction monotonic; receivers drop non-advancing sequences as
+//! duplicates.
 
-use std::io::{self, Read, Write};
-
-/// Hard ceiling on a single frame's payload (256 MiB). A length prefix
-/// above this is treated as stream corruption, not an allocation
-/// request.
-pub const MAX_FRAME: usize = 1 << 28;
-
-/// First byte of a v2 envelope. Protocol payloads start with small tag
-/// bytes, so this never collides with a raw v1 message.
+/// First byte of every frame. Protocol payloads start with small tag
+/// bytes, so a bare payload never passes for a frame.
 pub const FRAME_V2_MAGIC: u8 = 0xC2;
 
-/// The envelope version this crate speaks natively.
+/// The envelope version this crate speaks.
 pub const FRAME_VERSION: u8 = 2;
 
-/// Bytes a v2 envelope adds ahead of the payload: magic, version,
+/// Bytes the envelope adds ahead of the payload: magic, version,
 /// sequence, CRC.
 pub const V2_HEADER: usize = 1 + 1 + 4 + 4;
-
-/// Writes `payload` as one frame: 4-byte little-endian length, then the
-/// bytes, then a flush so a blocked reader on the other end wakes up.
-///
-/// # Errors
-/// `InvalidInput` when the payload exceeds [`MAX_FRAME`]; otherwise
-/// whatever the underlying writer reports.
-pub fn write_frame<T: Write>(w: &mut T, payload: &[u8]) -> io::Result<()> {
-    if payload.len() > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            format!("frame of {} bytes exceeds MAX_FRAME", payload.len()),
-        ));
-    }
-    let len = payload.len() as u32;
-    w.write_all(&len.to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
-}
-
-/// Reads one frame written by [`write_frame`].
-///
-/// The payload is read through [`Read::take`] into a growing buffer
-/// rather than a `vec![0; len]` sized off the prefix, so a corrupt
-/// prefix under [`MAX_FRAME`] on a short or hostile stream costs at
-/// most the bytes actually present before EOF — never a quarter-GiB
-/// up-front allocation.
-///
-/// # Errors
-/// `UnexpectedEof` on a short read, `InvalidData` when the prefix
-/// exceeds [`MAX_FRAME`]; otherwise whatever the underlying reader
-/// reports.
-pub fn read_frame<T: Read>(r: &mut T) -> io::Result<Vec<u8>> {
-    let mut prefix = [0u8; 4];
-    r.read_exact(&mut prefix)?;
-    let len = u32::from_le_bytes(prefix) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame prefix of {len} bytes exceeds MAX_FRAME"),
-        ));
-    }
-    let mut payload = Vec::new();
-    let got = r.take(len as u64).read_to_end(&mut payload)?;
-    if got < len {
-        return Err(io::Error::new(
-            io::ErrorKind::UnexpectedEof,
-            format!("frame claimed {len} bytes, stream held {got}"),
-        ));
-    }
-    Ok(payload)
-}
 
 // ---------------------------------------------------------------------
 // CRC32 (IEEE 802.3, reflected, polynomial 0xEDB88320)
@@ -124,25 +54,32 @@ const fn crc32_table() -> [u32; 256] {
 
 static CRC32_TABLE: [u32; 256] = crc32_table();
 
-/// IEEE CRC32 of `bytes` (the zlib/PNG/802.3 variant).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = !0u32;
+/// Folds `bytes` into a running CRC32 register; the initial and final
+/// inversions are the caller's.
+fn crc32_update(mut crc: u32, bytes: &[u8]) -> u32 {
     for &b in bytes {
         let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
         crc = (crc >> 8) ^ CRC32_TABLE[idx];
     }
-    !crc
+    crc
+}
+
+/// IEEE CRC32 of `bytes` (the zlib/PNG/802.3 variant).
+pub fn crc32(bytes: &[u8]) -> u32 {
+    !crc32_update(!0, bytes)
 }
 
 // ---------------------------------------------------------------------
 // The v2 envelope
 // ---------------------------------------------------------------------
 
-/// Why a frame failed the v2 integrity checks.
+/// Why a frame failed the envelope checks.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FrameError {
-    /// The frame starts like a v2 envelope but is shorter than the
-    /// header — a truncation fault.
+    /// The first byte is not [`FRAME_V2_MAGIC`]: a bare payload, or a
+    /// frame whose magic byte was corrupted.
+    BadMagic(u8),
+    /// The frame is shorter than the header — a truncation fault.
     TooShort {
         /// Bytes actually present.
         got: usize,
@@ -161,11 +98,14 @@ pub enum FrameError {
 impl std::fmt::Display for FrameError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            FrameError::TooShort { got } => {
+            FrameError::BadMagic(b) => {
                 write!(
                     f,
-                    "v2 envelope truncated to {got} bytes (header is {V2_HEADER})"
+                    "frame starts with {b:#04x}, not the {FRAME_V2_MAGIC:#04x} magic"
                 )
+            }
+            FrameError::TooShort { got } => {
+                write!(f, "frame truncated to {got} bytes (header is {V2_HEADER})")
             }
             FrameError::BadVersion(v) => write!(f, "unsupported frame version {v}"),
             FrameError::Crc { carried, computed } => write!(
@@ -178,12 +118,9 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// What [`unseal`] recognized.
+/// A frame that passed [`unseal`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Unsealed {
-    /// No v2 magic: the frame *is* the payload (a v1 peer, or line
-    /// noise the protocol layer will reject).
-    V1(Vec<u8>),
     /// A v2 envelope whose CRC checked out.
     V2 {
         /// Per-direction monotonic sequence number.
@@ -209,25 +146,21 @@ pub fn seal_v2(seq: u32, payload: &[u8]) -> Vec<u8> {
 /// CRC over everything the envelope protects: version byte, sequence,
 /// payload (the magic and the CRC field itself are excluded).
 fn envelope_crc(envelope: &[u8]) -> u32 {
-    let mut crc = !0u32;
-    for &b in envelope[1..6].iter().chain(&envelope[V2_HEADER..]) {
-        let idx = ((crc ^ u32::from(b)) & 0xFF) as usize;
-        crc = (crc >> 8) ^ CRC32_TABLE[idx];
-    }
-    !crc
+    !crc32_update(crc32_update(!0, &envelope[1..6]), &envelope[V2_HEADER..])
 }
 
-/// Classifies a received frame: v2 envelope (verified), or raw v1
-/// payload. Sequence-number policy (duplicate detection) is the
-/// caller's job — this layer only proves integrity.
+/// Opens a received frame, proving its integrity. Sequence-number
+/// policy (duplicate detection) is the caller's job.
 ///
 /// # Errors
-/// [`FrameError`] when the frame claims to be v2 but fails the
-/// structural or CRC checks — the "detected corruption" signal chaos
-/// testing asserts on.
+/// [`FrameError`] when the frame fails the magic, structural, version,
+/// or CRC checks — the "detected corruption" signal chaos testing
+/// asserts on.
 pub fn unseal(frame: Vec<u8>) -> Result<Unsealed, FrameError> {
-    if frame.first() != Some(&FRAME_V2_MAGIC) {
-        return Ok(Unsealed::V1(frame));
+    match frame.first() {
+        Some(&FRAME_V2_MAGIC) => {}
+        Some(&other) => return Err(FrameError::BadMagic(other)),
+        None => return Err(FrameError::TooShort { got: 0 }),
     }
     if frame.len() < V2_HEADER {
         return Err(FrameError::TooShort { got: frame.len() });
@@ -251,59 +184,7 @@ mod tests {
     #![allow(clippy::unwrap_used, clippy::expect_used)]
 
     use super::*;
-    use std::io::Cursor;
-
-    #[test]
-    fn frames_round_trip_back_to_back() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").expect("write");
-        write_frame(&mut buf, b"").expect("write");
-        write_frame(&mut buf, &[7u8; 300]).expect("write");
-
-        let mut r = Cursor::new(buf);
-        assert_eq!(read_frame(&mut r).expect("read"), b"hello");
-        assert_eq!(read_frame(&mut r).expect("read"), b"");
-        assert_eq!(read_frame(&mut r).expect("read"), vec![7u8; 300]);
-        assert_eq!(
-            read_frame(&mut r).expect_err("eof").kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-    }
-
-    #[test]
-    fn truncated_payload_is_unexpected_eof() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, b"hello").expect("write");
-        buf.truncate(6); // prefix + one byte of five
-        let mut r = Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut r).expect_err("short").kind(),
-            io::ErrorKind::UnexpectedEof
-        );
-    }
-
-    #[test]
-    fn oversized_prefix_is_invalid_data_not_allocation() {
-        let mut buf = Vec::from(u32::MAX.to_le_bytes());
-        buf.extend_from_slice(b"xx");
-        let mut r = Cursor::new(buf);
-        assert_eq!(
-            read_frame(&mut r).expect_err("oversized").kind(),
-            io::ErrorKind::InvalidData
-        );
-    }
-
-    #[test]
-    fn corrupt_prefix_under_max_frame_reads_only_whats_there() {
-        // A prefix claiming 64 MiB over a 3-byte stream must fail with
-        // EOF after consuming those 3 bytes — not allocate 64 MiB.
-        let mut buf = Vec::from((64u32 * 1024 * 1024).to_le_bytes());
-        buf.extend_from_slice(b"abc");
-        let mut r = Cursor::new(buf);
-        let err = read_frame(&mut r).expect_err("short stream");
-        assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof);
-        assert!(err.to_string().contains("stream held 3"), "{err}");
-    }
+    use rand::{rngs::StdRng, Rng, SeedableRng};
 
     #[test]
     fn crc32_matches_known_vectors() {
@@ -321,42 +202,36 @@ mod tests {
         for (seq, payload) in [(0u32, &b""[..]), (1, b"x"), (u32::MAX, &[0xC2; 37][..])] {
             let frame = seal_v2(seq, payload);
             assert_eq!(frame.len(), V2_HEADER + payload.len());
-            match unseal(frame).expect("unseal") {
-                Unsealed::V2 { seq: s, payload: p } => {
-                    assert_eq!(s, seq);
-                    assert_eq!(p, payload);
-                }
-                other => panic!("expected V2, got {other:?}"),
-            }
+            let Unsealed::V2 { seq: s, payload: p } = unseal(frame).expect("unseal");
+            assert_eq!(s, seq);
+            assert_eq!(p, payload);
         }
     }
 
     #[test]
-    fn raw_frames_pass_through_as_v1() {
-        for payload in [&b""[..], b"\x00rest", b"\x03"] {
-            match unseal(payload.to_vec()).expect("unseal") {
-                Unsealed::V1(p) => assert_eq!(p, payload),
-                other => panic!("expected V1, got {other:?}"),
-            }
+    fn frames_without_the_magic_are_bad_magic() {
+        for payload in [&b"\x00rest"[..], b"\x03", b"\xC3sealed-looking"] {
+            assert_eq!(
+                unseal(payload.to_vec()).expect_err("no magic"),
+                FrameError::BadMagic(payload[0])
+            );
         }
     }
 
     #[test]
     fn every_single_byte_flip_in_an_envelope_is_caught_or_demoted() {
-        // Flip each byte of a sealed frame in turn: the result must
-        // never unseal into a *different valid* v2 payload. Flipping
-        // the magic demotes to V1 (the protocol layer rejects it);
-        // anything else must fail the version or CRC check.
+        // Flip each byte of a sealed frame in turn, with every mask: no
+        // bent frame may unseal. A flipped magic is `BadMagic`; anything
+        // else fails the version or CRC check.
         let frame = seal_v2(7, b"partial sums travel light");
         for i in 0..frame.len() {
-            let mut bent = frame.clone();
-            bent[i] ^= 0x10;
-            match unseal(bent) {
-                Ok(Unsealed::V1(raw)) => assert_ne!(raw.first(), Some(&FRAME_V2_MAGIC)),
-                Ok(Unsealed::V2 { seq, payload }) => {
-                    panic!("byte {i} flip survived: seq={seq} payload={payload:?}")
+            for mask in 1..=u8::MAX {
+                let mut bent = frame.clone();
+                bent[i] ^= mask;
+                let err = unseal(bent).expect_err("a flipped byte must not unseal");
+                if i == 0 {
+                    assert_eq!(err, FrameError::BadMagic(FRAME_V2_MAGIC ^ mask));
                 }
-                Err(_) => {}
             }
         }
     }
@@ -364,7 +239,7 @@ mod tests {
     #[test]
     fn truncated_envelopes_are_too_short_not_garbage() {
         let frame = seal_v2(3, b"abcdef");
-        for cut in 1..V2_HEADER {
+        for cut in 0..V2_HEADER {
             let bent = frame[..cut].to_vec();
             assert_eq!(
                 unseal(bent).expect_err("short"),
@@ -382,6 +257,29 @@ mod tests {
     }
 
     #[test]
+    fn random_bytes_never_unseal_or_panic() {
+        // Line noise, half of it dressed up with a valid magic and
+        // version so it reaches the CRC check: nothing `seal_v2` did not
+        // produce may come back `Ok`.
+        let mut rng = StdRng::seed_from_u64(0xC2C2);
+        for round in 0..20_000 {
+            let len = rng.random_range(0..48usize);
+            let mut bytes: Vec<u8> = (0..len).map(|_| rng.random()).collect();
+            if round % 2 == 0 && len >= 2 {
+                bytes[0] = FRAME_V2_MAGIC;
+                bytes[1] = FRAME_VERSION;
+            }
+            if let Ok(Unsealed::V2 { seq, payload }) = unseal(bytes.clone()) {
+                assert_eq!(
+                    seal_v2(seq, &payload),
+                    bytes,
+                    "round {round} forged a frame"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn unknown_versions_are_rejected() {
         let mut frame = seal_v2(1, b"hi");
         frame[1] = 9;
@@ -394,6 +292,7 @@ mod tests {
     #[test]
     fn frame_error_displays_name_their_numbers() {
         let cases: Vec<(FrameError, &[&str])> = vec![
+            (FrameError::BadMagic(0x03), &["0x03", "0xc2"]),
             (FrameError::TooShort { got: 4 }, &["4", "10"]),
             (FrameError::BadVersion(9), &["9"]),
             (

@@ -5,7 +5,8 @@
 //! plan: phase A recovers sectors from independent sub-matrices using
 //! only locally surviving sectors, and phase B (`H_rest`) combines
 //! partial sums. In a distributed archive that structure maps directly
-//! onto the network: a coordinator holds the [`Planner`] half of
+//! onto the network: a coordinator holds the
+//! [`Planner`](ppm_core::Planner) half of
 //! [`RepairService`](ppm_core::RepairService) and ships each failure
 //! scenario's [`WirePlan`](ppm_core::WirePlan) — a few hundred bytes —
 //! to the worker that owns the damaged stripe. The worker's
@@ -24,10 +25,12 @@
 //!
 //! The crate layers, bottom up:
 //!
-//! - [`frame`]: length-prefixed byte frames over `io::Read`/`io::Write`.
+//! - [`seal_v2`] / [`unseal`]: the CRC32- and sequence-protected
+//!   envelope every message travels in; anything else is rejected with
+//!   a typed [`FrameError`].
 //! - [`Transport`]: how frames move — in-process channels
-//!   ([`channel_pair`]) today, TCP-ready streams ([`StreamTransport`])
-//!   with the same trait.
+//!   ([`channel_pair`]), optionally through a fault-injecting
+//!   [`ChaosTransport`].
 //! - [`CoordinatorRequest`] / [`WorkerResponse`]: the hand-rolled wire
 //!   protocol (no external serialization crates).
 //! - [`Worker`]: owns a shard of stripes, caches compiled plans by
@@ -51,12 +54,11 @@ mod worker;
 pub use chaos::{ChaosConfig, ChaosCounters, ChaosTransport, InjectedFaults};
 pub use error::ClusterError;
 pub use frame::{
-    crc32, read_frame, seal_v2, unseal, write_frame, FrameError, Unsealed, FRAME_V2_MAGIC,
-    FRAME_VERSION, MAX_FRAME, V2_HEADER,
+    crc32, seal_v2, unseal, FrameError, Unsealed, FRAME_V2_MAGIC, FRAME_VERSION, V2_HEADER,
 };
 pub use message::{CoordinatorRequest, WorkerResponse};
 pub use sim::{run_sim, ChaosStats, RepairMode, RetryPolicy, SimConfig, SimReport, Traffic};
-pub use transport::{channel_pair, ChannelTransport, StreamTransport, Transport};
+pub use transport::{channel_pair, ChannelTransport, Transport};
 pub use worker::{Worker, WorkerFrameStats};
 
 pub use ppm_faults::ChaosRates;

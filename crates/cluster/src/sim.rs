@@ -34,7 +34,7 @@
 
 use crate::chaos::{ChaosConfig, ChaosCounters, ChaosTransport, InjectedFaults};
 use crate::error::ClusterError;
-use crate::frame::{seal_v2, unseal, Unsealed, FRAME_VERSION};
+use crate::frame::{seal_v2, unseal, Unsealed};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::{channel_pair, Transport};
 use crate::worker::Worker;
@@ -133,13 +133,8 @@ pub struct SimConfig {
     pub seed: u64,
     /// Thread budget for every executor in the simulation.
     pub threads: usize,
-    /// Frame envelope version on the links: `2` seals every frame with
-    /// a CRC and sequence number, `1` sends raw payloads (the legacy
-    /// wire image, kept for interop).
-    pub frame_version: u8,
     /// Fault injection on every coordinator↔worker link (per-link
-    /// seeds derive from the configured seed). Requires v2 framing —
-    /// corruption must be detectable to be survivable.
+    /// seeds derive from the configured seed).
     pub chaos: Option<ChaosConfig>,
     /// Supervision policy for every exchange.
     pub retry: RetryPolicy,
@@ -155,7 +150,6 @@ impl Default for SimConfig {
             sector_bytes: 4096,
             seed: 2015,
             threads: 1,
-            frame_version: FRAME_VERSION,
             chaos: None,
             retry: RetryPolicy::default(),
         }
@@ -273,8 +267,6 @@ pub struct SimReport {
     /// Total violated surplus rows across all verify passes (zero on
     /// pure-erasure damage).
     pub violations: usize,
-    /// Frame envelope version the links ran.
-    pub frame_version: u8,
     /// Wire accounting.
     pub traffic: Traffic,
     /// Supervision and fault-injection accounting (all zero on a clean
@@ -291,7 +283,6 @@ impl SimReport {
              \"sector_bytes\":{},\"damaged\":{},\"repaired\":{},\
              \"split_rests\":{},\"local_rests\":{},\"plans_shipped\":{},\
              \"identical\":{},\"verified_clean\":{},\"violations\":{},\
-             \"frame_version\":{},\
              \"to_workers_bytes\":{},\"from_workers_bytes\":{},\
              \"plan_bytes\":{},\"frames\":{},\"total_bytes\":{},\
              \"chaos\":{}}}",
@@ -307,7 +298,6 @@ impl SimReport {
             self.identical,
             self.verified_clean,
             self.violations,
-            self.frame_version,
             self.traffic.to_workers_bytes,
             self.traffic.from_workers_bytes,
             self.traffic.plan_bytes,
@@ -381,7 +371,6 @@ struct Coordinator<'a, W: GfWord, C: ErasureCode<W>> {
     shipped: HashSet<(usize, String)>,
     compiled: HashMap<String, PlanTape<W>>,
     policy: RetryPolicy,
-    version: u8,
     jitter: StdRng,
     traffic: Traffic,
     stats: ChaosStats,
@@ -409,20 +398,13 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
         }
     }
 
-    /// Sends one framed request. Every call seals a fresh frame with
-    /// the link's next sequence number (v2) or ships the raw payload
-    /// (v1).
+    /// Sends one request, sealed with the link's next sequence number.
     fn send_on(&mut self, worker: usize, payload: &[u8]) -> Result<(), ClusterError> {
-        let version = self.version;
         let frame = {
             let link = self.link_mut(worker)?;
-            if version == 2 {
-                let f = seal_v2(link.next_seq, payload);
-                link.next_seq = link.next_seq.wrapping_add(1);
-                f
-            } else {
-                payload.to_vec()
-            }
+            let f = seal_v2(link.next_seq, payload);
+            link.next_seq = link.next_seq.wrapping_add(1);
+            f
         };
         self.traffic.to_workers_bytes += 4 + frame.len() as u64;
         self.traffic.frames += 1;
@@ -433,10 +415,9 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
     }
 
     /// Receives decodable responses from one link until `deadline`,
-    /// discarding line noise: frames failing the v2 checks and frames
-    /// demoted to v1 by a corrupted magic byte are counted and skipped,
-    /// duplicates (non-advancing sequence) are counted and skipped.
-    /// `Ok(None)` means the deadline passed in silence.
+    /// discarding line noise: frames failing [`unseal`] are counted and
+    /// skipped, duplicates (non-advancing sequence) are counted and
+    /// skipped. `Ok(None)` means the deadline passed in silence.
     fn recv_until(
         &mut self,
         worker: usize,
@@ -457,21 +438,10 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
             };
             self.traffic.from_workers_bytes += 4 + frame.len() as u64;
             self.traffic.frames += 1;
-            let version = self.version;
             let payload = match unseal(frame) {
                 Err(_) => {
                     self.stats.corrupt_frames_caught += 1;
                     continue;
-                }
-                Ok(Unsealed::V1(payload)) => {
-                    if version == 2 {
-                        // A v2 conversation never legitimately carries
-                        // a bare frame; a flipped magic byte demotes a
-                        // sealed frame to this. Either way: corrupt.
-                        self.stats.corrupt_frames_caught += 1;
-                        continue;
-                    }
-                    payload
                 }
                 Ok(Unsealed::V2 { seq, payload }) => {
                     let link = self.link_mut(worker)?;
@@ -483,23 +453,12 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
                     payload
                 }
             };
-            match WorkerResponse::decode(&payload) {
-                Ok(WorkerResponse::Error { message }) => {
-                    return Err(ClusterError::Protocol(message));
-                }
-                Ok(response) => return Ok(Some(response)),
-                Err(e) if version == 2 => {
-                    // CRC-clean but undecodable is a protocol bug, not
-                    // line noise — surface it.
-                    return Err(e);
-                }
-                Err(_) => {
-                    // v1 has no integrity layer; garbage is all the
-                    // detection we get.
-                    self.stats.corrupt_frames_caught += 1;
-                    continue;
-                }
-            }
+            // CRC-clean but undecodable is a protocol bug, not line
+            // noise — surface it.
+            return match WorkerResponse::decode(&payload)? {
+                WorkerResponse::Error { message } => Err(ClusterError::Protocol(message)),
+                response => Ok(Some(response)),
+            };
         }
     }
 
@@ -826,18 +785,7 @@ where
             "sector_bytes and threads must be >= 1".into(),
         ));
     }
-    if !matches!(cfg.frame_version, 1 | 2) {
-        return Err(ClusterError::Protocol(format!(
-            "unknown frame version {} (this build speaks 1 and 2)",
-            cfg.frame_version
-        )));
-    }
     if let Some(chaos) = &cfg.chaos {
-        if cfg.frame_version != 2 {
-            return Err(ClusterError::Protocol(
-                "chaos requires v2 framing: corruption must be detectable to be survivable".into(),
-            ));
-        }
         let total = chaos.rates.total();
         if !(0.0..=1.0).contains(&total) {
             return Err(ClusterError::Protocol(format!(
@@ -932,7 +880,6 @@ where
         identical: true,
         verified_clean: 0,
         violations: 0,
-        frame_version: cfg.frame_version,
         traffic: Traffic::default(),
         chaos: ChaosStats::default(),
     };
@@ -943,7 +890,6 @@ where
         shipped: HashSet::new(),
         compiled: HashMap::new(),
         policy: cfg.retry,
-        version: cfg.frame_version,
         jitter: StdRng::seed_from_u64(cfg.seed ^ 0x000C_4A05_u64),
         traffic: Traffic::default(),
         stats: ChaosStats::default(),
@@ -1113,7 +1059,6 @@ mod tests {
             sector_bytes: 512,
             seed: 2015,
             threads: 1,
-            frame_version: FRAME_VERSION,
             chaos: None,
             retry: RetryPolicy::default(),
         }
@@ -1185,20 +1130,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_framing_still_interops() {
-        let code = paper_code();
-        let cfg = SimConfig {
-            frame_version: 1,
-            ..small_cfg(3)
-        };
-        let report = run_sim(&code, &cfg, RepairMode::Partial).expect("v1 sim");
-        assert!(report.identical);
-        assert_eq!(report.repaired, report.damaged);
-        assert_eq!(report.frame_version, 1);
-        assert_eq!(report.chaos, ChaosStats::default());
-    }
-
-    #[test]
     fn nonsense_configs_are_rejected() {
         let code = paper_code();
         let bad = SimConfig {
@@ -1209,13 +1140,6 @@ mod tests {
         let bad = SimConfig {
             damaged: 100,
             stripes: 10,
-            ..small_cfg(2)
-        };
-        assert!(run_sim(&code, &bad, RepairMode::Partial).is_err());
-        // Chaos over v1 framing is undetectable corruption — rejected.
-        let bad = SimConfig {
-            frame_version: 1,
-            chaos: Some(ChaosConfig::default()),
             ..small_cfg(2)
         };
         assert!(run_sim(&code, &bad, RepairMode::Partial).is_err());
@@ -1320,7 +1244,6 @@ mod tests {
             "\"identical\":true",
             "\"total_bytes\":",
             "\"plan_bytes\":",
-            "\"frame_version\":2",
             "\"chaos\":{\"retries\":0",
             "\"injected\":{\"dropped\":0",
         ] {

@@ -18,10 +18,10 @@ use std::collections::HashMap;
 /// sum is the cluster's "corrupt frames caught" figure).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WorkerFrameStats {
-    /// Frames that failed the v2 integrity checks and were discarded
+    /// Frames that failed [`unseal`] and were discarded unanswered
     /// (the coordinator's retry redelivers).
     pub corrupt_caught: u64,
-    /// v2 frames with a non-advancing sequence number, dropped as
+    /// Frames with a non-advancing sequence number, dropped as
     /// duplicates or stale reorders.
     pub dups_dropped: u64,
     /// CRC-clean frames whose payload still failed to decode; answered
@@ -67,51 +67,28 @@ impl<W: GfWord> Worker<W> {
         self.id
     }
 
-    /// The stripes this worker currently holds.
-    pub fn stripes(&self) -> &HashMap<u64, Stripe> {
-        &self.stripes
-    }
-
-    /// Distinct plans compiled so far (one network-shipped plan serves
-    /// every stripe sharing its failure scenario).
-    pub fn plans_cached(&self) -> usize {
-        self.plans.len()
-    }
-
     /// Serves requests from `transport` until
     /// [`Shutdown`](CoordinatorRequest::Shutdown), then returns the
-    /// shard in its final state. Equivalent to [`Worker::serve`] with
-    /// the frame counters discarded.
+    /// shard in its final state with the frame-layer detection
+    /// counters. The shard and counters come back even when the loop
+    /// exits on a transport error, as [`ClusterError::Io`] — a
+    /// coordinator that walked away from a hung link (the worker sees
+    /// its channel close) must still be able to account the shard's
+    /// repaired stripes and the worker's catches.
     ///
-    /// # Errors
-    /// [`ClusterError::Io`] when the transport drops mid-conversation
-    /// (including a coordinator that walked away from a dead link).
     /// Request handling failures are *not* errors here — they travel
     /// back as [`WorkerResponse::Error`] and the loop keeps serving —
-    /// and neither is line noise: frames failing the v2 integrity
-    /// checks are counted and dropped, trusting the coordinator's
-    /// retry to redeliver.
-    pub fn run<T: Transport>(self, transport: &T) -> Result<HashMap<u64, Stripe>, ClusterError> {
-        let (stripes, err, _) = self.serve(transport);
-        match err {
-            None => Ok(stripes),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// [`Worker::run`], but the shard and the frame-layer detection
-    /// counters come back even when the loop exits on a transport
-    /// error — a coordinator that walked away from a hung link (the
-    /// worker sees its channel close) must still be able to account
-    /// the shard's repaired stripes and the worker's catches.
+    /// and neither is line noise: frames failing [`unseal`] are counted
+    /// and dropped unanswered, trusting the coordinator's retry to
+    /// redeliver.
     pub fn serve<T: Transport>(
         mut self,
         transport: &T,
     ) -> (HashMap<u64, Stripe>, Option<ClusterError>, WorkerFrameStats) {
         let mut stats = WorkerFrameStats::default();
-        // Sequence state for the v2 envelope: outbound responses get
-        // this worker's own monotonic stream; inbound requests must
-        // advance the last-seen number or be dropped as duplicates.
+        // Sequence state: outbound responses get this worker's own
+        // monotonic stream; inbound requests must advance the
+        // last-seen number or be dropped as duplicates.
         let mut next_send_seq: u32 = 0;
         let mut last_seen: Option<u32> = None;
         loop {
@@ -119,55 +96,43 @@ impl<W: GfWord> Worker<W> {
                 Ok(f) => f,
                 Err(e) => return (self.stripes, Some(ClusterError::Io(e)), stats),
             };
-            // Classify the frame: v2 envelopes prove integrity and
-            // freshness; raw v1 frames pass through for old peers. The
-            // response mirrors the request's version, which is the
-            // whole negotiation.
-            let (version, payload) = match unseal(frame) {
+            let payload = match unseal(frame) {
                 Err(_) => {
                     stats.corrupt_caught += 1;
                     continue;
                 }
-                Ok(Unsealed::V1(payload)) => (1u8, payload),
                 Ok(Unsealed::V2 { seq, payload }) => {
                     if last_seen.is_some_and(|prev| seq <= prev) {
                         stats.dups_dropped += 1;
                         continue;
                     }
                     last_seen = Some(seq);
-                    (2, payload)
+                    payload
                 }
             };
             let response = match CoordinatorRequest::decode(&payload) {
                 Ok(CoordinatorRequest::Shutdown) => return (self.stripes, None, stats),
                 Ok(request) => self.handle(request),
                 Err(e) => {
-                    // CRC-clean (or v1) but undecodable: report it and
-                    // keep serving rather than dying mid-shard.
+                    // CRC-clean but undecodable: report it and keep
+                    // serving rather than dying mid-shard.
                     stats.undecodable += 1;
                     WorkerResponse::Error {
                         message: format!("worker {}: undecodable request: {e}", self.id),
                     }
                 }
             };
-            let bytes = response.encode();
-            let out = if version == 2 {
-                let sealed = seal_v2(next_send_seq, &bytes);
-                next_send_seq = next_send_seq.wrapping_add(1);
-                sealed
-            } else {
-                bytes
-            };
-            if let Err(e) = transport.send(out) {
+            let sealed = seal_v2(next_send_seq, &response.encode());
+            next_send_seq = next_send_seq.wrapping_add(1);
+            if let Err(e) = transport.send(sealed) {
                 return (self.stripes, Some(ClusterError::Io(e)), stats);
             }
         }
     }
 
     /// Handles one request, folding every failure into
-    /// [`WorkerResponse::Error`]. Exposed so tests and alternative
-    /// event loops can drive a worker without a transport.
-    pub fn handle(&mut self, request: CoordinatorRequest) -> WorkerResponse {
+    /// [`WorkerResponse::Error`].
+    fn handle(&mut self, request: CoordinatorRequest) -> WorkerResponse {
         let result = match request {
             CoordinatorRequest::Repair {
                 stripe,
@@ -183,7 +148,9 @@ impl<W: GfWord> Worker<W> {
                 sector_bytes,
                 sectors,
             } => self.adopt(stripe, n, r, sector_bytes, sectors),
-            CoordinatorRequest::Shutdown => Err("shutdown is handled by the run loop".to_string()),
+            CoordinatorRequest::Shutdown => {
+                Err("shutdown is handled by the serve loop".to_string())
+            }
         };
         result.unwrap_or_else(|message| WorkerResponse::Error {
             message: format!("worker {}: {message}", self.id),
@@ -380,5 +347,70 @@ impl<W: GfWord> std::fmt::Debug for Worker<W> {
             .field("plans", &self.plans.len())
             .field("pending_verify", &self.pending_verify.len())
             .finish()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #![allow(clippy::unwrap_used, clippy::expect_used)]
+
+    use super::*;
+    use crate::frame::FRAME_V2_MAGIC;
+    use crate::transport::channel_pair;
+    use std::time::Duration;
+
+    #[test]
+    fn magic_flipped_request_is_dropped_unanswered_and_counted() {
+        let layout = StripeLayout::new(4, 4);
+        let mut stripe = Stripe::zeroed(layout, 16);
+        stripe.write_sector(3, &[0xAB; 16]);
+        let shard = HashMap::from([(7u64, stripe)]);
+        let (coordinator, worker_end) = channel_pair();
+        let worker: Worker<u8> = Worker::new(0, shard, DecoderConfig::default());
+        let handle = std::thread::spawn(move || worker.serve(&worker_end));
+
+        let fetch = CoordinatorRequest::FetchSectors {
+            stripe: 7,
+            sectors: vec![3],
+        }
+        .encode();
+        let mut bent = seal_v2(0, &fetch);
+        bent[0] ^= 0x01;
+        assert_ne!(bent[0], FRAME_V2_MAGIC);
+        coordinator.send(bent).unwrap();
+        coordinator.send(seal_v2(1, &fetch)).unwrap();
+
+        // The first reply answers the valid request: the bent one got
+        // nothing, sealed or otherwise.
+        let reply = coordinator
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap()
+            .expect("the valid request is served");
+        let Unsealed::V2 { seq, payload } = unseal(reply).expect("replies are sealed");
+        assert_eq!(seq, 0, "no reply was spent on the bent request");
+        assert_eq!(
+            WorkerResponse::decode(&payload).unwrap(),
+            WorkerResponse::Sectors {
+                stripe: 7,
+                sectors: vec![(3, vec![0xAB; 16])],
+            }
+        );
+
+        coordinator
+            .send(seal_v2(2, &CoordinatorRequest::Shutdown.encode()))
+            .unwrap();
+        let (shard, err, stats) = handle.join().unwrap();
+        assert!(err.is_none());
+        assert!(shard.contains_key(&7));
+        assert_eq!(
+            stats,
+            WorkerFrameStats {
+                corrupt_caught: 1,
+                dups_dropped: 0,
+                undecodable: 0,
+            }
+        );
+        // Nothing else was ever sent back.
+        assert!(coordinator.recv_timeout(Duration::from_millis(10)).is_err());
     }
 }

@@ -15,9 +15,9 @@
 //! `RepairService` is `Sync`, so N repair workers can drive one session
 //! concurrently — sharing the plan cache (with single-flight builds) and
 //! the scratch arena — either by hand or through the built-in
-//! [`RepairService::repair_batch`] / [`RepairService::repair_stream`]
-//! drivers, which split work between the paper's intra-stripe parallelism
-//! and one-worker-per-stripe parallelism adaptively.
+//! [`RepairService::repair_batch`] driver, which splits work between the
+//! paper's intra-stripe parallelism and one-worker-per-stripe
+//! parallelism adaptively.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
@@ -33,8 +33,7 @@ use crate::DecodeError;
 use ppm_codes::{ErasureCode, FailureScenario};
 use ppm_gf::{GfWord, RegionStats};
 use ppm_stripe::Stripe;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 /// A long-lived repair session for one erasure code.
@@ -540,100 +539,10 @@ impl<W: GfWord, C: ErasureCode<W>> RepairService<W, C> {
             wall_nanos: started.elapsed().as_nanos(),
         })
     }
-
-    /// Streaming variant of [`RepairService::repair_batch`]: pulls owned
-    /// stripes from `stripes` as `workers` scoped threads become free
-    /// (work-stealing from one shared iterator, so skewed per-stripe
-    /// costs self-balance), repairs each against `scenario`, and returns
-    /// the repaired stripes **in input order** together with the batch
-    /// report. With `workers == 1` the stream is consumed on the calling
-    /// thread through the executor's pool (intra-stripe parallel).
-    ///
-    /// # Errors
-    /// The first decode error stops all workers and is returned; stripes
-    /// already pulled from the iterator are dropped with it. Use
-    /// [`RepairService::repair_batch`] when partial results must stay
-    /// addressable.
-    pub fn repair_stream<I>(
-        &self,
-        stripes: I,
-        scenario: &FailureScenario,
-        workers: usize,
-    ) -> Result<(Vec<Stripe>, BatchReport), DecodeError>
-    where
-        I: IntoIterator<Item = Stripe>,
-        I::IntoIter: Send,
-    {
-        let workers = workers.max(1);
-        let started = Instant::now();
-        let (plan, _) = self.plan_for(scenario)?;
-        let inter_stripe = workers > 1;
-        let source = Mutex::new(stripes.into_iter().enumerate());
-        let failed = AtomicBool::new(false);
-        let plan = &plan;
-        type Tagged = Vec<(usize, Stripe, ExecStats)>;
-        let results: Vec<Result<Tagged, DecodeError>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut out: Tagged = Vec::new();
-                        loop {
-                            if failed.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let next = source.lock().unwrap_or_else(PoisonError::into_inner).next();
-                            let Some((index, mut stripe)) = next else {
-                                break;
-                            };
-                            let decoded = if inter_stripe {
-                                self.executor.decode_serial(plan, &mut stripe)
-                            } else {
-                                self.executor.decode(plan, &mut stripe)
-                            };
-                            match decoded {
-                                Ok(stats) => out.push((index, stripe, stats)),
-                                Err(e) => {
-                                    failed.store(true, Ordering::Relaxed);
-                                    return Err(e);
-                                }
-                            }
-                        }
-                        Ok(out)
-                    })
-                })
-                .collect();
-            handles.into_iter().map(join_worker).collect()
-        });
-        let mut tagged: Tagged = Vec::new();
-        for worker_out in results {
-            tagged.extend(worker_out?);
-        }
-        tagged.sort_by_key(|(index, _, _)| *index);
-        let cache = self.planner.cache_stats();
-        let arena = self.executor.arena().stats();
-        let mut out_stripes = Vec::with_capacity(tagged.len());
-        let mut stats = Vec::with_capacity(tagged.len());
-        for (_, stripe, mut s) in tagged {
-            s.cache = Some(cache);
-            s.arena = Some(arena);
-            out_stripes.push(stripe);
-            stats.push(s);
-        }
-        Ok((
-            out_stripes,
-            BatchReport {
-                stats,
-                workers,
-                inter_stripe,
-                wall_nanos: started.elapsed().as_nanos(),
-            },
-        ))
-    }
 }
 
-/// Outcome of one [`RepairService::repair_batch`] /
-/// [`RepairService::repair_stream`] run: per-stripe stats in stripe
-/// order plus how the driver split the work.
+/// Outcome of one [`RepairService::repair_batch`] run: per-stripe stats
+/// in stripe order plus how the driver split the work.
 #[derive(Clone, Debug)]
 pub struct BatchReport {
     /// Per-stripe decode telemetry, in stripe order, each carrying the
@@ -1013,6 +922,8 @@ mod tests {
         assert_eq!(many, pristine);
         assert!(report.all_match_prediction());
         assert_eq!(report.stripes(), 8);
+        // The CLI prints this figure for `repair --workers`.
+        assert!(report.stripes_per_sec() > 0.0);
         assert!(report.stats.iter().all(|s| s.threads == 1));
         assert!(report.stats.iter().all(|s| s.cache.is_some()));
         assert!(report.stats.iter().all(|s| s.arena.is_some()));
@@ -1147,45 +1058,5 @@ mod tests {
         for s in &stripes {
             assert!(crate::parity_consistent(&h, s, Backend::Scalar));
         }
-    }
-
-    #[test]
-    fn repair_stream_returns_stripes_in_input_order() {
-        let svc = service(2);
-        let scenario = FailureScenario::new(vec![2, 6, 10]);
-        let mut rng = StdRng::seed_from_u64(22);
-        let mut pristine = Vec::new();
-        for _ in 0..10 {
-            let mut s = random_data_stripe(svc.code(), 64, &mut rng);
-            svc.encode(&mut s).unwrap();
-            pristine.push(s);
-        }
-        let broken: Vec<Stripe> = pristine
-            .iter()
-            .map(|s| {
-                let mut b = s.clone();
-                b.erase(&scenario);
-                b
-            })
-            .collect();
-        let (repaired, report) = svc.repair_stream(broken, &scenario, 3).unwrap();
-        assert_eq!(repaired, pristine, "order and bits both preserved");
-        assert!(report.inter_stripe);
-        assert_eq!(report.stripes(), 10);
-        assert!(report.all_match_prediction());
-        assert!(report.stripes_per_sec() > 0.0);
-
-        // Single worker flows through the executor's pool.
-        let broken: Vec<Stripe> = pristine
-            .iter()
-            .map(|s| {
-                let mut b = s.clone();
-                b.erase(&scenario);
-                b
-            })
-            .collect();
-        let (repaired, report) = svc.repair_stream(broken, &scenario, 1).unwrap();
-        assert_eq!(repaired, pristine);
-        assert!(!report.inter_stripe);
     }
 }

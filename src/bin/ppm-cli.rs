@@ -16,13 +16,16 @@
 //! ppm-cli cluster sim [--workers N] [--stripes M] [--damaged D] [--code spec]
 //!                 [--bytes B] [--seed S] [--threads T] [--mode partial|naive|both] [--stats]
 //!                 [--chaos SEED] [--drop R] [--corrupt R] [--truncate R] [--duplicate R]
-//!                 [--reorder R] [--delay R] [--hang R] [--delay-ms MS] [--frame-version 1|2]
+//!                 [--reorder R] [--delay R] [--hang R] [--delay-ms MS]
 //!                 [--deadline MS] [--retries N] [--hedge MS]
 //! ```
 //!
 //! Code specs: `sd:n,r,m,s` · `pmds:n,r,m,s` · `lrc:k,l,g,r` · `rs:k,m,r` ·
 //! `evenodd:p` · `rdp:p` · `star:p` · `pc:k1,m1,k2,m2` (row × column
 //! product code over the sector grid) · `hh:k,m` (Hitchhiker-XOR).
+//!
+//! Every subcommand rejects a flag it does not take and a numeric flag
+//! whose value does not parse, naming the flag.
 //!
 //! `--stats` instruments the decode data path and prints one JSON object
 //! to stdout: aggregate executed `mult_XORs` (counted by the region
@@ -79,8 +82,7 @@
 //! the repaired archive must *still* come back bit-identical, or the
 //! command exits nonzero. The summary line gains
 //! `chaos_seed=... injected=... retries=... corrupt_caught=...` fields
-//! for CI to grep. `--frame-version 1` keeps the legacy raw framing
-//! (interop mode; refuses chaos, which would be undetectable).
+//! for CI to grep.
 //!
 //! `update` replays a small-write trace against a healthy archive
 //! through the buffered update engine (`ppm_update::UpdateEngine`):
@@ -404,12 +406,12 @@ impl StatsAgg {
 }
 
 fn cmd_encode(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    let (flags, pos) = split_flags(args, "code sector-kib stats")?;
     let spec = flags
         .get("code")
         .ok_or("encode requires --code <spec>")?
         .clone();
-    let sector_kib: usize = flag_num(&flags, "sector-kib").unwrap_or(64);
+    let sector_kib: usize = flag_num(&flags, "sector-kib")?.unwrap_or(64);
     let [input, dir] = pos.as_slice() else {
         return Err("usage: encode --code <spec> <input> <dir>".into());
     };
@@ -479,7 +481,7 @@ fn cmd_encode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_corrupt(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    let (flags, pos) = split_flags(args, "disks")?;
     let [dir] = pos.as_slice() else {
         return Err("usage: corrupt <dir> --disks a,b,...".into());
     };
@@ -501,7 +503,7 @@ fn cmd_corrupt(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_repair(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    let (flags, pos) = split_flags(args, "threads workers stats cache verify inject")?;
     let [dir] = pos.as_slice() else {
         return Err(
             "usage: repair <dir> [--threads T] [--workers N] [--stats] [--cache] [--verify] \
@@ -509,8 +511,10 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
                 .into(),
         );
     };
+    let threads = flag_num(&flags, "threads")?.unwrap_or(4);
+    let workers: Option<usize> = flag_num(&flags, "workers")?;
+    let inject_seed: Option<u64> = flag_num(&flags, "inject")?;
     let archive = Archive::load(Path::new(dir))?;
-    let threads = flag_num(&flags, "threads").unwrap_or(4);
     let config = DecoderConfig {
         threads,
         backend: Backend::Auto,
@@ -525,14 +529,7 @@ fn cmd_repair(args: &[String]) -> Result<(), String> {
     let want_stats = flags.contains_key("stats");
     let mut agg = StatsAgg::default();
 
-    let inject_seed = match flags.get("inject") {
-        Some(v) => Some(
-            v.parse::<u64>()
-                .map_err(|e| format!("bad --inject seed: {e}"))?,
-        ),
-        None => None,
-    };
-    if let Some(workers) = flag_num(&flags, "workers") {
+    if let Some(workers) = workers {
         if flags.contains_key("verify") || inject_seed.is_some() {
             return Err(
                 "--workers cannot be combined with --verify/--inject (verified repair \
@@ -814,7 +811,10 @@ fn payload_bytes(seed: u64, index: u64, len: usize) -> Vec<u8> {
 }
 
 fn cmd_update(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    let (flags, pos) = split_flags(
+        args,
+        "trace synth ops write-bytes policy buffer workers threads seed naive stats",
+    )?;
     let [dir] = pos.as_slice() else {
         return Err(
             "usage: update <dir> (--trace FILE | --synth zipf|seq|uniform) [--ops N] \
@@ -828,10 +828,12 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
     let data_per_stripe = archive.data_per_stripe() as u64;
     let volume_bytes = data_per_stripe * archive.stripes as u64;
 
-    let seed: u64 = match flags.get("seed") {
-        Some(v) => v.parse().map_err(|e| format!("bad --seed: {e}"))?,
-        None => 2015,
-    };
+    let seed: u64 = flag_num(&flags, "seed")?.unwrap_or(2015);
+    let ops_count = flag_num(&flags, "ops")?.unwrap_or(256);
+    let write_bytes: Option<u64> = flag_num(&flags, "write-bytes")?;
+    let buffer_bytes = flag_num::<u64>(&flags, "buffer")?.map_or(1 << 20, |b| b.max(1));
+    let workers = flag_num(&flags, "workers")?.unwrap_or(1);
+    let threads = flag_num(&flags, "threads")?.unwrap_or(4);
     let ops: Vec<TraceOp> = match (flags.get("trace"), flags.get("synth")) {
         (Some(path), None) => {
             let text = fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
@@ -840,12 +842,10 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         (None, Some(spec)) => {
             let kind = SynthKind::parse(spec)
                 .ok_or_else(|| format!("bad --synth {spec:?} (zipf[:SKEW], seq, uniform)"))?;
-            let n = flag_num(&flags, "ops").unwrap_or(256);
-            let write_bytes = flag_num(&flags, "write-bytes")
-                .map(|b| b as u64)
+            let write_bytes = write_bytes
                 .unwrap_or_else(|| (archive.sector_bytes as u64 / 4).max(1))
                 .min(volume_bytes);
-            synthesize(kind, n, volume_bytes, write_bytes, seed)
+            synthesize(kind, ops_count, volume_bytes, write_bytes, seed)
         }
         (Some(_), Some(_)) => return Err("--trace and --synth are mutually exclusive".into()),
         (None, None) => return Err("update requires --trace FILE or --synth KIND".into()),
@@ -854,11 +854,6 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
         Some(p) => EvictionPolicy::parse(p).ok_or_else(|| format!("bad --policy {p:?}"))?,
         None => EvictionPolicy::Lru,
     };
-    let buffer_bytes = flag_num(&flags, "buffer")
-        .map(|b| b.max(1) as u64)
-        .unwrap_or(1 << 20);
-    let workers = flag_num(&flags, "workers").unwrap_or(1);
-    let threads = flag_num(&flags, "threads").unwrap_or(4);
     let mode = if flags.contains_key("naive") {
         FlushMode::ReencodeOnly
     } else {
@@ -966,7 +961,7 @@ fn cmd_update(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_verify(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args);
+    let (_, pos) = split_flags(args, "")?;
     let [dir] = pos.as_slice() else {
         return Err("usage: verify <dir>".into());
     };
@@ -989,7 +984,7 @@ fn cmd_verify(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_decode(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args);
+    let (_, pos) = split_flags(args, "")?;
     let [dir, output] = pos.as_slice() else {
         return Err("usage: decode <dir> <output>".into());
     };
@@ -1013,7 +1008,7 @@ fn cmd_decode(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let (_, pos) = split_flags(args);
+    let (_, pos) = split_flags(args, "")?;
     let [dir] = pos.as_slice() else {
         return Err("usage: info <dir>".into());
     };
@@ -1051,7 +1046,12 @@ fn cmd_cluster(args: &[String]) -> Result<(), String> {
 /// ship-everything baseline runs on the same damage, and the summary
 /// line reports the measured bandwidth ratio.
 fn cluster_sim(args: &[String]) -> Result<(), String> {
-    let (flags, pos) = split_flags(args);
+    let (flags, pos) = split_flags(
+        args,
+        "workers stripes damaged scenarios code bytes seed threads mode stats \
+         chaos drop corrupt truncate duplicate reorder delay hang delay-ms \
+         deadline retries hedge",
+    )?;
     if !pos.is_empty() {
         return Err(format!(
             "cluster sim takes no positional arguments, got {pos:?}"
@@ -1063,23 +1063,12 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
         .unwrap_or_else(|| "sd:4,4,1,1".to_string());
     let code = Code::parse(&spec)?;
     let dyn_code = code.as_dyn();
-    let parse_u64 = |name: &str, default: u64| -> Result<u64, String> {
-        match flags.get(name) {
-            Some(v) => v.parse().map_err(|e| format!("bad --{name}: {e}")),
-            None => Ok(default),
-        }
-    };
     let parse_rate = |name: &str| -> Result<f64, String> {
-        match flags.get(name) {
-            Some(v) => {
-                let rate: f64 = v.parse().map_err(|e| format!("bad --{name}: {e}"))?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(format!("bad --{name}: rate {rate} outside [0, 1]"));
-                }
-                Ok(rate)
-            }
-            None => Ok(0.0),
+        let rate = flag_num(&flags, name)?.unwrap_or(0.0);
+        if !(0.0..=1.0).contains(&rate) {
+            return Err(format!("bad --{name}: rate {rate} outside [0, 1]"));
         }
+        Ok(rate)
     };
     let rates = ChaosRates {
         drop: parse_rate("drop")?,
@@ -1090,11 +1079,11 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
         delay: parse_rate("delay")?,
         hang: parse_rate("hang")?,
     };
-    let chaos = match flags.get("chaos") {
-        Some(v) => Some(ChaosConfig {
-            seed: v.parse().map_err(|e| format!("bad --chaos: {e}"))?,
+    let chaos = match flag_num(&flags, "chaos")? {
+        Some(seed) => Some(ChaosConfig {
+            seed,
             rates,
-            delay_ms: parse_u64("delay-ms", 5)?,
+            delay_ms: flag_num(&flags, "delay-ms")?.unwrap_or(5),
         }),
         None if rates.total() > 0.0 => {
             return Err("fault rates need --chaos SEED to take effect".into())
@@ -1108,24 +1097,23 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
     } else {
         RetryPolicy::default()
     };
-    if let Some(v) = flags.get("deadline") {
-        retry.deadline_ms = v.parse().map_err(|e| format!("bad --deadline: {e}"))?;
+    if let Some(ms) = flag_num(&flags, "deadline")? {
+        retry.deadline_ms = ms;
     }
-    if let Some(v) = flags.get("retries") {
-        retry.max_attempts = v.parse().map_err(|e| format!("bad --retries: {e}"))?;
+    if let Some(n) = flag_num(&flags, "retries")? {
+        retry.max_attempts = n;
     }
-    if let Some(v) = flags.get("hedge") {
-        retry.hedge_after_ms = v.parse().map_err(|e| format!("bad --hedge: {e}"))?;
+    if let Some(ms) = flag_num(&flags, "hedge")? {
+        retry.hedge_after_ms = ms;
     }
     let cfg = SimConfig {
-        workers: flag_num(&flags, "workers").unwrap_or(4),
-        stripes: parse_u64("stripes", 1_000_000)?,
-        damaged: flag_num(&flags, "damaged").unwrap_or(16),
-        scenarios: flag_num(&flags, "scenarios").unwrap_or(3),
-        sector_bytes: flag_num(&flags, "bytes").unwrap_or(4096),
-        seed: parse_u64("seed", 2015)?,
-        threads: flag_num(&flags, "threads").unwrap_or(1),
-        frame_version: flag_num(&flags, "frame-version").unwrap_or(2) as u8,
+        workers: flag_num(&flags, "workers")?.unwrap_or(4),
+        stripes: flag_num(&flags, "stripes")?.unwrap_or(1_000_000),
+        damaged: flag_num(&flags, "damaged")?.unwrap_or(16),
+        scenarios: flag_num(&flags, "scenarios")?.unwrap_or(3),
+        sector_bytes: flag_num(&flags, "bytes")?.unwrap_or(4096),
+        seed: flag_num(&flags, "seed")?.unwrap_or(2015),
+        threads: flag_num(&flags, "threads")?.unwrap_or(1),
         chaos,
         retry,
     };
@@ -1209,14 +1197,28 @@ fn cluster_sim(args: &[String]) -> Result<(), String> {
     Ok(())
 }
 
-fn split_flags(args: &[String]) -> (std::collections::HashMap<String, String>, Vec<String>) {
-    let mut flags = std::collections::HashMap::new();
+type Flags = std::collections::HashMap<String, String>;
+
+/// Splits `args` into `--name [value]` flags and positionals, rejecting
+/// any flag not named in the space-separated `accepted` list.
+fn split_flags(args: &[String], accepted: &str) -> Result<(Flags, Vec<String>), String> {
+    let mut flags = Flags::new();
     let mut pos = Vec::new();
     // Flags that take no value; everything else consumes the next token.
     const BOOLEAN: &[&str] = &["stats", "cache", "verify", "naive"];
     let mut it = args.iter();
     while let Some(a) = it.next() {
         if let Some(name) = a.strip_prefix("--") {
+            if !accepted.split_whitespace().any(|f| f == name) {
+                return Err(format!(
+                    "unknown flag --{name} (this command takes: {})",
+                    if accepted.is_empty() {
+                        "no flags"
+                    } else {
+                        accepted
+                    }
+                ));
+            }
             let value = if BOOLEAN.contains(&name) {
                 String::new()
             } else {
@@ -1227,11 +1229,20 @@ fn split_flags(args: &[String]) -> (std::collections::HashMap<String, String>, V
             pos.push(a.clone());
         }
     }
-    (flags, pos)
+    Ok((flags, pos))
 }
 
-fn flag_num(flags: &std::collections::HashMap<String, String>, name: &str) -> Option<usize> {
-    flags.get(name).and_then(|v| v.parse().ok())
+/// Parses flag `name` as a number: `Ok(None)` when absent, an error
+/// naming the flag when its value does not parse.
+fn flag_num<T>(flags: &Flags, name: &str) -> Result<Option<T>, String>
+where
+    T: std::str::FromStr,
+    T::Err: std::fmt::Display,
+{
+    flags
+        .get(name)
+        .map(|v| v.parse().map_err(|e| format!("bad --{name} {v:?}: {e}")))
+        .transpose()
 }
 
 fn main() -> ExitCode {

@@ -278,3 +278,39 @@ fn corrupt_rejects_out_of_range_disk() {
     assert!(err.contains("out of range"), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn unknown_flags_are_rejected_by_name() {
+    // The sealed envelope is the only frame format; a stale
+    // `--frame-version` must fail loudly rather than run something else.
+    let err = run_err(&["cluster", "sim", "--frame-version", "1"]);
+    assert!(err.contains("--frame-version"), "{err}");
+    let err = run_err(&["verify", "no-such-archive", "--stats"]);
+    assert!(err.contains("--stats"), "{err}");
+}
+
+#[test]
+fn non_numeric_flag_values_are_rejected_by_name() {
+    let dir = workdir("badnum");
+    let input = make_input(&dir, 10_000, 11);
+    let archive = dir.join("a");
+    let archive_s = archive.to_str().unwrap();
+    run_ok(&[
+        "encode",
+        "--code",
+        "rs:4,2,4",
+        "--sector-kib",
+        "1",
+        input.to_str().unwrap(),
+        archive_s,
+    ]);
+    run_ok(&["corrupt", archive_s, "--disks", "1"]);
+    let err = run_err(&["repair", archive_s, "--workers", "abc"]);
+    assert!(err.contains("--workers"), "{err}");
+    let err = run_err(&["cluster", "sim", "--damaged", "many"]);
+    assert!(err.contains("--damaged"), "{err}");
+    // The archive was left untouched: a valid repair still succeeds.
+    run_ok(&["repair", archive_s, "--workers", "2"]);
+    run_ok(&["verify", archive_s]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -33,7 +33,7 @@
 //!   [`ChaosTransport`].
 //! - [`CoordinatorRequest`] / [`WorkerResponse`]: the hand-rolled wire
 //!   protocol (no external serialization crates).
-//! - [`Worker`]: owns a shard of stripes, caches compiled plans by
+//! - [`Worker`]: owns a shard of stripes, caches the plans it compiles by
 //!   [`PlanKey`](ppm_core::PlanKey) string, answers requests.
 //! - [`run_sim`]: drives a full simulated archive — shard, damage,
 //!   repair over N workers, and compare bit-for-bit against a

@@ -39,7 +39,7 @@ use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::{channel_pair, Transport};
 use crate::worker::Worker;
 use ppm_codes::{ErasureCode, FailureScenario};
-use ppm_core::{DecoderConfig, PlanTape, RepairService};
+use ppm_core::{DecoderConfig, RepairService};
 use ppm_gf::GfWord;
 use ppm_stripe::{random_data_stripe, Stripe};
 use rand::{rngs::StdRng, Rng, SeedableRng};
@@ -369,7 +369,6 @@ struct Coordinator<'a, W: GfWord, C: ErasureCode<W>> {
     service: &'a RepairService<W, &'a C>,
     links: Vec<Link>,
     shipped: HashSet<(usize, String)>,
-    compiled: HashMap<String, PlanTape<W>>,
     policy: RetryPolicy,
     jitter: StdRng,
     traffic: Traffic,
@@ -549,12 +548,6 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
         let key = self.service.planner().plan_key(&case.scenario).to_string();
         let plan = if self.shipped.insert((owner, key.clone())) {
             let (wire, _) = self.service.planner().wire_plan_for(&case.scenario)?;
-            if !self.compiled.contains_key(&key) {
-                self.compiled.insert(
-                    key.clone(),
-                    wire.compile::<W>(self.service.planner().backend())?,
-                );
-            }
             let bytes = wire.encode();
             self.traffic.plan_bytes += bytes.len() as u64;
             report.plans_shipped += 1;
@@ -584,15 +577,13 @@ impl<'a, W: GfWord, C: ErasureCode<W>> Coordinator<'a, W, C> {
             tally_verify(report, violated_rows.as_deref());
             return Ok(());
         }
-        let compiled = self.compiled.get(&key).ok_or_else(|| {
-            ClusterError::Protocol(format!("no compiled plan retained for key {key}"))
-        })?;
-        // Phase B: F⁻¹ · T on the shipped partial sums — the
-        // coordinator never holds the stripe.
+        // Phase B: F⁻¹ · T on the shipped partial sums, with the
+        // planner's cached plan — the coordinator never holds the stripe.
+        let (plan, _) = self.service.planner().plan_for(&case.scenario)?;
         let recovered =
             self.service
                 .executor()
-                .finish_rest(compiled, &rest_blocks, self.sector_bytes)?;
+                .finish_rest(&plan, &rest_blocks, self.sector_bytes)?;
         let sectors = recovered
             .into_iter()
             .map(|(sector, bytes)| (sector as u32, bytes))
@@ -888,7 +879,6 @@ where
         service: &service,
         links,
         shipped: HashSet::new(),
-        compiled: HashMap::new(),
         policy: cfg.retry,
         jitter: StdRng::seed_from_u64(cfg.seed ^ 0x000C_4A05_u64),
         traffic: Traffic::default(),

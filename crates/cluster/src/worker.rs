@@ -8,7 +8,7 @@ use crate::frame::{seal_v2, unseal, Unsealed};
 use crate::message::{CoordinatorRequest, WorkerResponse};
 use crate::transport::Transport;
 use ppm_codes::StripeLayout;
-use ppm_core::{DecoderConfig, Executor, PlanTape, WirePlan};
+use ppm_core::{DecodePlan, DecoderConfig, Executor, WirePlan};
 use ppm_gf::{Backend, GfWord};
 use ppm_stripe::Stripe;
 use std::collections::HashMap;
@@ -30,8 +30,9 @@ pub struct WorkerFrameStats {
 }
 
 /// One worker: a shard of stripes keyed by archive-wide id, an
-/// [`Executor`] for the data path, and a cache of compiled wire plans
-/// keyed by the coordinator's [`PlanKey`](ppm_core::PlanKey) string.
+/// [`Executor`] for the data path, and a cache of the [`DecodePlan`]s it
+/// compiled from received wire plans, keyed by the coordinator's
+/// [`PlanKey`](ppm_core::PlanKey) string.
 ///
 /// `W` is the Galois-field word the archive's code operates over; the
 /// worker needs it only to re-materialize kernel tables when compiling a
@@ -41,7 +42,7 @@ pub struct Worker<W: GfWord> {
     stripes: HashMap<u64, Stripe>,
     executor: Executor,
     backend: Backend,
-    plans: HashMap<String, PlanTape<W>>,
+    plans: HashMap<String, DecodePlan<W>>,
     /// Stripes repaired through the split path whose verify pass waits
     /// for the coordinator's phase-B install, mapped to the plan that
     /// will verify them.
@@ -330,11 +331,11 @@ impl<W: GfWord> Worker<W> {
 /// retained no surplus rows).
 fn verified_rows<W: GfWord>(
     executor: &Executor,
-    plan: &PlanTape<W>,
+    plan: &DecodePlan<W>,
     stripe: &Stripe,
 ) -> Result<Vec<u32>, String> {
     let report = executor
-        .verify_wire(plan, stripe)
+        .verify(plan, stripe)
         .map_err(|e| format!("verify failed: {e}"))?;
     Ok(report.violated_rows.iter().map(|&r| r as u32).collect())
 }

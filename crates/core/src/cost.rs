@@ -8,9 +8,10 @@
 //! * `C₃ = Σᵢ u(Fᵢ⁻¹·Sᵢ) + u(F_rest⁻¹·S_rest)` — PPM, matrix-first rest,
 //! * `C₄ = Σᵢ u(Fᵢ⁻¹·Sᵢ) + u(F_rest⁻¹) + u(S_rest)` — PPM, normal rest.
 //!
-//! [`analyze`] computes all four numerically for any `(H, scenario)` by
-//! building the corresponding plans and counting their terms — the same
-//! counts the executor will actually perform. [`SdClosedForm`] implements
+//! [`analyze`] computes all four numerically for any `(H, scenario)`:
+//! it runs the [`Strategy::PpmAuto`] sweep, which prices every
+//! candidate's term programs — the same counts the executor will
+//! actually perform for that candidate. [`SdClosedForm`] implements
 //! the paper's closed-form expressions for SD codes (`s` faulty sectors on
 //! `z` rows), which Figures 4–6 sweep.
 
@@ -52,8 +53,8 @@ impl CostReport {
     }
 }
 
-/// Computes `C₁..C₄` for decoding `scenario` under `h`, by constructing
-/// each strategy's plan and counting its mult_XORs.
+/// Computes `C₁..C₄` for decoding `scenario` under `h`: the report the
+/// [`Strategy::PpmAuto`] sweep records on the plan it builds.
 ///
 /// ```
 /// use ppm_codes::{ErasureCode, FailureScenario, SdCode};
@@ -70,20 +71,11 @@ pub fn analyze<W: GfWord>(
     h: &Matrix<W>,
     scenario: &FailureScenario,
 ) -> Result<CostReport, DecodeError> {
-    let cost = |s: Strategy| -> Result<usize, DecodeError> {
-        Ok(DecodePlan::build(h, scenario, s, Backend::Scalar)?.mult_xors())
-    };
-    let c1 = cost(Strategy::TraditionalNormal)?;
-    let c2 = cost(Strategy::TraditionalMatrixFirst)?;
-    let c3 = cost(Strategy::PpmMatrixFirstRest)?;
-    let c4_plan = DecodePlan::build(h, scenario, Strategy::PpmNormalRest, Backend::Scalar)?;
-    Ok(CostReport {
-        c1,
-        c2,
-        c3,
-        c4: c4_plan.mult_xors(),
-        parallelism: c4_plan.parallelism(),
-    })
+    DecodePlan::build(h, scenario, Strategy::PpmAuto, Backend::Scalar)?
+        .predicted_costs()
+        .ok_or(DecodeError::MalformedTape(
+            "PpmAuto plan without a cost report",
+        ))
 }
 
 /// The paper's closed-form cost expressions for an SD worst case: `m` disk

@@ -1,8 +1,8 @@
-//! The tape runner: the region-arithmetic data path every decode,
-//! verify and wire-plan execution goes through.
+//! The tape runner: the region-arithmetic data path every decode and
+//! verify goes through.
 //!
-//! A [`PlanTape`] holds one segment per independent sub-matrix plus the
-//! `H_rest` segment. [`Executor`](crate::Executor) dispatches the `p`
+//! A [`DecodePlan`] holds one instruction segment per independent
+//! sub-matrix plus the `H_rest` segment. [`Executor`](crate::Executor) dispatches the `p`
 //! phase-A segments across its thread pool (Algorithm 1's "arrange T
 //! (T ≤ p) threads"); each produces its recovered sectors from the
 //! surviving sectors only, so they are embarrassingly parallel. Once all

@@ -1,19 +1,19 @@
-//! The execution half of the planner/executor split: runs compiled plan
-//! tapes against locally held sectors.
+//! The execution half of the planner/executor split: runs plans against
+//! locally held sectors.
 //!
 //! An [`Executor`] owns everything a decode's *data path* needs — the
 //! bounded thread pool for the paper's intra-stripe parallelism, the
 //! serial lane inter-stripe workers decode on, and the [`ScratchArena`]
 //! of recycled buffers — and nothing the *planning* path needs: no code,
 //! no parity-check matrix, no plan cache. It can therefore run on a
-//! machine that has never seen the code, executing [`WirePlan`]s a
-//! coordinator sent over ([`Executor::execute_wire`]), or serve as the
+//! machine that has never seen the code, executing plans a coordinator
+//! sent over as [`WirePlan`](crate::WirePlan)s, or serve as the
 //! in-process engine behind [`RepairService`](crate::RepairService).
 //!
-//! Every entry point replays a [`PlanTape`] through the one runner in
-//! [`crate::exec`]: [`Executor::decode`] and [`Executor::verify`] run the
-//! tape a [`DecodePlan`] was compiled to, the `*_wire` entry points run a
-//! tape compiled from a [`WirePlan`](crate::WirePlan).
+//! Every entry point takes a [`DecodePlan`] — built in-process or
+//! compiled from a wire plan, the same type either way — and replays its
+//! instruction segments through the one runner in [`crate::exec`]:
+//! [`Executor::decode`] and [`Executor::verify`] run the whole plan.
 //!
 //! The cluster-facing entry points implement *partial-block repair*:
 //! [`Executor::wire_partials`] runs the phase-A segments locally and,
@@ -32,7 +32,7 @@ use crate::exec::{
 };
 use crate::plan::DecodePlan;
 use crate::stats::{ExecStats, SubPlanStats};
-use crate::tape::{Loc, PlanTape};
+use crate::tape::Loc;
 use crate::DecodeError;
 use ppm_gf::GfWord;
 use ppm_stripe::Stripe;
@@ -49,7 +49,7 @@ pub struct Executor {
     arena: ScratchArena,
 }
 
-/// Per-phase executed work of one tape run.
+/// Per-phase executed work of one plan run.
 struct PhaseStats {
     phase_a: Vec<SubPlanStats>,
     phase_a_nanos: u128,
@@ -131,7 +131,7 @@ impl Executor {
         stripe: &mut Stripe,
     ) -> Result<ExecStats, DecodeError> {
         let started = Instant::now();
-        let run = self.run_tape(pool, plan.tape(), stripe)?;
+        let run = self.run_plan(pool, plan, stripe)?;
         Ok(ExecStats {
             strategy: plan.strategy(),
             threads: if pool.is_some() {
@@ -157,7 +157,9 @@ impl Executor {
     /// parity-check row of `H` the plan did *not* consume as part of `F`
     /// against the (recovered) stripe. The decode satisfies its consumed
     /// rows by construction, so a non-zero surplus row is independent
-    /// evidence that a *surviving* input block is corrupt.
+    /// evidence that a *surviving* input block is corrupt. A plan
+    /// compiled from the wire checks the rows it shipped with; with none
+    /// the report is vacuously clean (`rows_checked == 0`).
     ///
     /// Each row replays as one fused tape run through the plan's region
     /// kernels, so the executed `mult_XORs` land in
@@ -176,56 +178,25 @@ impl Executor {
         plan: &DecodePlan<W>,
         stripe: &Stripe,
     ) -> Result<VerifyReport, DecodeError> {
-        if !plan.supports_verify() {
+        let Some(runs) = plan.verify.as_deref() else {
             return Err(DecodeError::VerificationUnavailable);
-        }
-        self.verify_tape(plan.tape(), stripe)
+        };
+        check_geometry(plan, stripe)?;
+        Ok(run_verify_runs(runs, stripe, &self.arena))
     }
 
-    /// Executes a compiled wire plan fully against a locally held stripe:
-    /// the same runner as [`Executor::decode`]. Bit-identical to the
-    /// in-process decode of the plan the wire encoding came from.
-    pub fn execute_wire<W: GfWord>(
-        &self,
-        tape: &PlanTape<W>,
-        stripe: &mut Stripe,
-    ) -> Result<(), DecodeError> {
-        self.run_tape(self.pool.as_ref(), tape, stripe).map(|_| ())
-    }
-
-    /// Verifies a locally held stripe against a wire plan's surplus
-    /// rows. A plan carrying no verify rows reports zero `rows_checked`
-    /// (vacuously clean) — the wire encoding cannot distinguish "surplus
-    /// not retained" from "no surplus rows existed".
-    pub fn verify_wire<W: GfWord>(
-        &self,
-        tape: &PlanTape<W>,
-        stripe: &Stripe,
-    ) -> Result<VerifyReport, DecodeError> {
-        self.verify_tape(tape, stripe)
-    }
-
-    fn verify_tape<W: GfWord>(
-        &self,
-        tape: &PlanTape<W>,
-        stripe: &Stripe,
-    ) -> Result<VerifyReport, DecodeError> {
-        check_geometry(tape, stripe)?;
-        Ok(run_verify_runs(&tape.verify, stripe, &self.arena))
-    }
-
-    /// The one tape runner: phase A, then the `H_rest` segment.
-    fn run_tape<W: GfWord>(
+    /// The one plan runner: phase A, then the `H_rest` segment.
+    fn run_plan<W: GfWord>(
         &self,
         pool: Option<&rayon::ThreadPool>,
-        tape: &PlanTape<W>,
+        plan: &DecodePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<PhaseStats, DecodeError> {
-        check_geometry(tape, stripe)?;
+        check_geometry(plan, stripe)?;
         let started = Instant::now();
-        let phase_a = self.run_phase_a(pool, tape, stripe);
+        let phase_a = self.run_phase_a(pool, plan, stripe);
         let phase_a_nanos = started.elapsed().as_nanos();
-        let phase_b = tape.phase_b.as_ref().map(|seg| {
+        let phase_b = plan.phase_b.as_ref().map(|seg| {
             let (flat, stats) = run_tape_segment(seg, stripe, &self.arena);
             install_tape_outputs(seg, flat, stripe, &self.arena);
             stats
@@ -243,25 +214,25 @@ impl Executor {
     fn run_phase_a<W: GfWord>(
         &self,
         pool: Option<&rayon::ThreadPool>,
-        tape: &PlanTape<W>,
+        plan: &DecodePlan<W>,
         stripe: &mut Stripe,
     ) -> Vec<SubPlanStats> {
         let arena = &self.arena;
         let shared: &Stripe = stripe;
         let results: Vec<(Vec<u8>, SubPlanStats)> = match pool {
-            Some(pool) if tape.phase_a.len() > 1 => pool.install(|| {
-                tape.phase_a
+            Some(pool) if plan.phase_a.len() > 1 => pool.install(|| {
+                plan.phase_a
                     .par_iter()
                     .map(|seg| run_tape_segment(seg, shared, arena))
                     .collect()
             }),
-            _ => tape
+            _ => plan
                 .phase_a
                 .iter()
                 .map(|seg| run_tape_segment(seg, shared, arena))
                 .collect(),
         };
-        tape.phase_a
+        plan.phase_a
             .iter()
             .zip(results)
             .map(|(seg, (flat, stats))| {
@@ -271,10 +242,10 @@ impl Executor {
             .collect()
     }
 
-    /// The survivor side of partial-block repair: runs the wire plan's
-    /// phase-A segments against the locally held stripe (installing their
+    /// The survivor side of partial-block repair: runs the plan's phase-A
+    /// segments against the locally held stripe (installing their
     /// recovered sectors in place) and then, if the plan's `H_rest` is
-    /// [splittable](PlanTape::rest_splittable), computes only its
+    /// [splittable](DecodePlan::rest_splittable), computes only its
     /// partial-sum `T` blocks — the payload that crosses the wire. A
     /// non-splittable `H_rest` (matrix-first, reads sectors directly) is
     /// finished locally instead, so nothing ships either way except when
@@ -291,20 +262,20 @@ impl Executor {
     #[allow(clippy::indexing_slicing)]
     pub fn wire_partials<W: GfWord>(
         &self,
-        tape: &PlanTape<W>,
+        plan: &DecodePlan<W>,
         stripe: &mut Stripe,
     ) -> Result<WirePartials, DecodeError> {
         let done = WirePartials {
             rest_blocks: Vec::new(),
             rest_pending: false,
         };
-        let Some(seg) = tape.phase_b.as_ref().filter(|_| tape.rest_splittable()) else {
-            // Nothing to split: run the whole tape here.
-            self.run_tape(self.pool.as_ref(), tape, stripe)?;
+        let Some(seg) = plan.phase_b.as_ref().filter(|_| plan.rest_splittable()) else {
+            // Nothing to split: run the whole plan here.
+            self.run_plan(self.pool.as_ref(), plan, stripe)?;
             return Ok(done);
         };
-        check_geometry(tape, stripe)?;
-        self.run_phase_a(self.pool.as_ref(), tape, stripe);
+        check_geometry(plan, stripe)?;
+        self.run_phase_a(self.pool.as_ref(), plan, stripe);
 
         // Splittable H_rest: compute the scratch (T) section only — the
         // sums over locally held sectors. The output section (F⁻¹ · T)
@@ -357,14 +328,14 @@ impl Executor {
     #[allow(clippy::indexing_slicing)]
     pub fn finish_rest<W: GfWord>(
         &self,
-        tape: &PlanTape<W>,
+        plan: &DecodePlan<W>,
         rest_blocks: &[Vec<u8>],
         sector_bytes: usize,
     ) -> Result<Vec<(usize, Vec<u8>)>, DecodeError> {
-        let Some(seg) = &tape.phase_b else {
+        let Some(seg) = &plan.phase_b else {
             return Ok(Vec::new());
         };
-        if !tape.rest_splittable() {
+        if !plan.rest_splittable() {
             return Err(DecodeError::RestNotSplittable);
         }
         if rest_blocks.len() != seg.scratch_slots {
@@ -414,18 +385,18 @@ impl Executor {
     }
 }
 
-/// Rejects a stripe whose sector count differs from the tape's geometry.
-fn check_geometry<W: GfWord>(tape: &PlanTape<W>, stripe: &Stripe) -> Result<(), DecodeError> {
-    if stripe.layout().sectors() != tape.total_sectors() {
+/// Rejects a stripe whose sector count differs from the plan's geometry.
+fn check_geometry<W: GfWord>(plan: &DecodePlan<W>, stripe: &Stripe) -> Result<(), DecodeError> {
+    if stripe.layout().sectors() != plan.total_sectors() {
         return Err(DecodeError::GeometryMismatch {
-            expected: tape.total_sectors(),
+            expected: plan.total_sectors(),
             actual: stripe.layout().sectors(),
         });
     }
     Ok(())
 }
 
-/// What a survivor produced from its portion of a wire plan (see
+/// What a survivor produced from its portion of a plan (see
 /// [`Executor::wire_partials`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct WirePartials {
@@ -465,22 +436,22 @@ mod tests {
         let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
         let plan =
             DecodePlan::build(&h, &sc, Strategy::PpmMatrixFirstRest, Backend::Scalar).unwrap();
-        let tape = WirePlan::from_plan(&plan)
+        let wired = WirePlan::from_plan(&plan)
             .compile::<u8>(Backend::Scalar)
             .unwrap();
-        assert!(tape.has_phase_b() && !tape.rest_splittable());
+        assert!(wired.has_phase_b() && !wired.rest_splittable());
         let exec = Executor::new(DecoderConfig {
             threads: 1,
             backend: Backend::Scalar,
         });
         let forged = vec![vec![0u8; 64]; 2];
         assert_eq!(
-            exec.finish_rest(&tape, &forged, 64).unwrap_err(),
+            exec.finish_rest(&wired, &forged, 64).unwrap_err(),
             DecodeError::RestNotSplittable
         );
-        // The in-process tape of the same plan is refused the same way.
+        // The in-process build of the same plan is refused the same way.
         assert_eq!(
-            exec.finish_rest(plan.tape(), &forged, 64).unwrap_err(),
+            exec.finish_rest(&plan, &forged, 64).unwrap_err(),
             DecodeError::RestNotSplittable
         );
     }

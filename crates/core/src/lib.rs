@@ -14,11 +14,13 @@
 //!    exactly `tᵢ` solvable rows becomes an *independent sub-matrix* that
 //!    recovers its faulty blocks from surviving blocks alone; everything
 //!    else forms the *remaining sub-matrix* `H_rest`.
-//! 3. [`DecodePlan`] — per sub-matrix, pick a calculation sequence
-//!    (*normal*: `F⁻¹·(S·BS)`; *matrix-first*: `(F⁻¹·S)·BS`) minimizing
-//!    the mult_XORs count, using the [`cost`] model `C₁..C₄`.
-//! 4. [`PlanTape`] — lower the plan to flat instruction tapes, one
-//!    segment per sub-matrix, validated at build.
+//! 3. [`DecodePlan::build`] — per sub-matrix, pick a calculation
+//!    sequence (*normal*: `F⁻¹·(S·BS)`; *matrix-first*: `(F⁻¹·S)·BS`)
+//!    minimizing the mult_XORs count, using the [`cost`] model `C₁..C₄`.
+//! 4. Lower the chosen sequences to flat instruction segments, one per
+//!    sub-matrix, and validate them: the resulting [`DecodePlan`] *is*
+//!    that tape, and [`WirePlan::compile`] rebuilds the same type from
+//!    untrusted bytes through the same validator.
 //! 5. [`Executor`] — execute: the `p` independent segments run on `T ≤ p`
 //!    threads; once they finish, their recovered blocks join the surviving
 //!    blocks to decode `H_rest`. [`Executor::decode`] and
@@ -92,6 +94,5 @@ pub use plan::{CalcSequence, DecodePlan, Strategy};
 pub use planner::Planner;
 pub use service::{BatchReport, RepairService};
 pub use stats::{ExecStats, SubPlanStats, UpdateStats, VerifyStats};
-pub use tape::PlanTape;
 pub use update::UpdatePlan;
 pub use wire::{WireError, WirePlan, WIRE_VERSION};

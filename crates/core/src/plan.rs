@@ -1,23 +1,29 @@
 //! Decode plans: the matrix work of decoding, done once per failure
 //! scenario and reusable across stripes.
 //!
-//! A [`DecodePlan`] captures Steps 1–3 of both the traditional method and
-//! PPM (derive/partition `H`, extract `F` and `S`, invert, choose a
-//! calculation sequence) as straight-line *programs* of `mult_XORs`
-//! region operations, lowered once to a [`PlanTape`]. Executing a plan
-//! (see [`Executor`](crate::Executor)) touches only sector buffers —
+//! [`DecodePlan::build`] performs Steps 1–3 of both the traditional
+//! method and PPM (derive/partition `H`, extract `F` and `S`, invert,
+//! choose a calculation sequence) and lowers the chosen sequences
+//! straight to validated instruction segments (see [`crate::tape`]): the
+//! plan *is* its tape. The per-sub-matrix term programs exist only while
+//! a plan is built — the `PpmAuto` sweep prices its candidates from them
+//! and lowers the winner alone. Executing a plan (see
+//! [`Executor`](crate::Executor)) touches only sector buffers —
 //! mirroring the paper's observation that the matrix manipulation is
 //! negligible next to the region arithmetic (footnote 2), so the plan
 //! may be amortized or rebuilt per decode without affecting the
 //! comparison.
 
-use crate::tape::PlanTape;
+use crate::cost::CostReport;
+use crate::tape::{
+    check_segment, check_verify_run, emit_run, lower_program, KernelMap, Loc, TapeSegment,
+    VerifyRun,
+};
 use crate::{DecodeError, Partition};
 use ppm_codes::FailureScenario;
-use ppm_gf::{Backend, GfWord, RegionMul};
-use ppm_matrix::Matrix;
-use std::collections::HashMap;
-use std::sync::Arc;
+use ppm_gf::{Backend, GfWord};
+use ppm_matrix::{Factorization, Matrix};
+use std::collections::BTreeSet;
 
 /// The two orders in which `F⁻¹ · S · BS` can be evaluated (paper §II-B).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -98,7 +104,10 @@ impl std::str::FromStr for Strategy {
     }
 }
 
-/// A straight-line region program recovering some faulty sectors.
+/// A straight-line region program recovering some faulty sectors — the
+/// build-time form of one sub-matrix's work. Candidates are priced from
+/// these term lists; only the chosen one is lowered to a
+/// [`TapeSegment`], and no plan stores them.
 #[derive(Clone, Debug)]
 pub(crate) enum Program<W: GfWord> {
     /// `BF_f = Σ_j G[f,j] · BS_j` directly into each output.
@@ -118,7 +127,7 @@ pub(crate) enum Program<W: GfWord> {
 impl<W: GfWord> Program<W> {
     /// Number of mult_XORs the program performs (the paper's `C` for this
     /// sub-matrix).
-    pub(crate) fn mult_xors(&self) -> usize {
+    fn mult_xors(&self) -> usize {
         match self {
             Program::MatrixFirst { outputs } => outputs.iter().map(|(_, t)| t.len()).sum(),
             Program::Normal { t_terms, f_terms } => {
@@ -127,406 +136,410 @@ impl<W: GfWord> Program<W> {
             }
         }
     }
+}
 
-    /// The faulty sectors this program writes.
-    pub(crate) fn output_sectors(&self) -> impl Iterator<Item = usize> + '_ {
-        let outs: &[(usize, Vec<(W, usize)>)] = match self {
-            Program::MatrixFirst { outputs } => outputs,
-            Program::Normal { f_terms, .. } => f_terms,
+/// One square sub-system `F · BF = S · BS`, factorized once. Either
+/// calculation sequence is emitted from the same elimination, so the
+/// `PpmAuto` sweep prices both sequences of `H_rest` (and of the
+/// traditional whole-`H` system) without factorizing twice.
+struct Solved<'a, W: GfWord> {
+    fact: Factorization<W>,
+    /// `S`: the consumed rows over the source columns.
+    s: Matrix<W>,
+    /// The global `H` rows the system consumed as `F` rows.
+    rows: Vec<usize>,
+    faulty: &'a [usize],
+    sources: &'a [usize],
+}
+
+impl<'a, W: GfWord> Solved<'a, W> {
+    /// Selects a square invertible system from the candidate rows and
+    /// factorizes it.
+    fn new(
+        h: &Matrix<W>,
+        candidate_rows: &[usize],
+        faulty: &'a [usize],
+        sources: &'a [usize],
+    ) -> Result<Self, DecodeError> {
+        let f_all = h.select_rows(candidate_rows).select_columns(faulty);
+        let picked = f_all.select_independent_rows();
+        let unrecoverable = DecodeError::Unrecoverable {
+            needed: faulty.len(),
+            rank: picked.len(),
         };
-        outs.iter().map(|(s, _)| *s)
+        if picked.len() < faulty.len() {
+            return Err(unrecoverable);
+        }
+        let rows: Vec<usize> = picked.iter().map(|&i| candidate_rows[i]).collect();
+        // One elimination serves both sequences: the factorization yields
+        // the matrix-first product `F⁻¹·S` directly (no explicit inverse)
+        // and the explicit `F⁻¹` for the normal sequence. Independent row
+        // selection guarantees invertibility, so the None arm is
+        // defensive.
+        let Some((fact, _unused_local)) = Factorization::with_residual(&f_all, &picked) else {
+            return Err(unrecoverable);
+        };
+        let s = h.select_rows(&rows).select_columns(sources);
+        Ok(Solved {
+            fact,
+            s,
+            rows,
+            faulty,
+            sources,
+        })
     }
 
-    /// Every stripe sector the program reads.
-    pub(crate) fn stripe_sources(&self) -> impl Iterator<Item = usize> + '_ {
-        let reads: &[Vec<(W, usize)>] = match self {
-            Program::MatrixFirst { .. } => &[],
-            Program::Normal { t_terms, .. } => t_terms,
-        };
-        let direct = match self {
-            Program::MatrixFirst { outputs } => Some(outputs),
-            Program::Normal { .. } => None,
-        };
-        reads.iter().flatten().map(|(_, src)| *src).chain(
-            direct
-                .into_iter()
-                .flatten()
-                .flat_map(|(_, t)| t.iter().map(|(_, s)| *s)),
-        )
-    }
-
-    /// A copy of the program producing only the `keep` output sectors
-    /// (dead scratch regions are dropped and re-indexed).
-    pub(crate) fn prune_outputs(&self, keep: &std::collections::BTreeSet<usize>) -> Program<W> {
-        match self {
-            Program::MatrixFirst { outputs } => Program::MatrixFirst {
-                outputs: outputs
-                    .iter()
-                    .filter(|(s, _)| keep.contains(s))
-                    .cloned()
-                    .collect(),
-            },
-            Program::Normal { t_terms, f_terms } => {
-                let f_kept: Vec<(usize, Vec<(W, usize)>)> = f_terms
-                    .iter()
-                    .filter(|(s, _)| keep.contains(s))
-                    .cloned()
-                    .collect();
-                // Scratch regions still referenced, in ascending order.
-                let used: Vec<usize> = {
-                    let mut u: Vec<usize> = f_kept
-                        .iter()
-                        .flat_map(|(_, t)| t.iter().map(|(_, e)| *e))
-                        .collect();
-                    u.sort_unstable();
-                    u.dedup();
-                    u
-                };
-                let remap: std::collections::HashMap<usize, usize> = used
+    /// The system's term program under `seq`.
+    fn program(&self, seq: CalcSequence) -> Program<W> {
+        let (faulty, sources) = (self.faulty, self.sources);
+        match seq {
+            CalcSequence::MatrixFirst => {
+                let g = self.fact.solve_mat(&self.s);
+                let outputs = faulty
                     .iter()
                     .enumerate()
-                    .map(|(new, &old)| (old, new))
+                    .map(|(fi, &sector)| {
+                        let terms = (0..sources.len())
+                            .filter_map(|j| {
+                                let c = g.get(fi, j);
+                                (c != W::ZERO).then_some((c, sources[j]))
+                            })
+                            .collect();
+                        (sector, terms)
+                    })
                     .collect();
-                Program::Normal {
-                    t_terms: used.iter().map(|&e| t_terms[e].clone()).collect(),
-                    f_terms: f_kept
-                        .into_iter()
-                        .map(|(s, terms)| {
-                            (s, terms.into_iter().map(|(c, e)| (c, remap[&e])).collect())
-                        })
-                        .collect(),
-                }
+                Program::MatrixFirst { outputs }
+            }
+            CalcSequence::Normal => {
+                let f_inv = self.fact.inverse();
+                let t_terms = (0..self.rows.len())
+                    .map(|e| {
+                        (0..sources.len())
+                            .filter_map(|j| {
+                                let c = self.s.get(e, j);
+                                (c != W::ZERO).then_some((c, sources[j]))
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let f_terms = faulty
+                    .iter()
+                    .enumerate()
+                    .map(|(fi, &sector)| {
+                        let terms = (0..self.rows.len())
+                            .filter_map(|e| {
+                                let c = f_inv.get(fi, e);
+                                (c != W::ZERO).then_some((c, e))
+                            })
+                            .collect();
+                        (sector, terms)
+                    })
+                    .collect();
+                Program::Normal { t_terms, f_terms }
             }
         }
     }
+}
 
-    fn coefficients(&self) -> impl Iterator<Item = W> + '_ {
-        let (a, b): (&[Vec<(W, usize)>], Option<_>) = match self {
-            Program::MatrixFirst { outputs } => (&[], Some(outputs)),
-            Program::Normal { t_terms, f_terms } => (t_terms.as_slice(), Some(f_terms)),
+/// One concrete strategy's term programs, before lowering.
+struct Candidate<W: GfWord> {
+    strategy: Strategy,
+    phase_a: Vec<Program<W>>,
+    phase_b: Option<Program<W>>,
+    /// Global `H` rows consumed as `F` rows across every sub-system; the
+    /// complement becomes the plan's surplus verification rows.
+    consumed: Vec<usize>,
+}
+
+impl<W: GfWord> Candidate<W> {
+    /// The candidate's mult_XORs — its `C` in the §III-B cost model.
+    fn cost(&self) -> usize {
+        self.phase_a
+            .iter()
+            .chain(&self.phase_b)
+            .map(Program::mult_xors)
+            .sum()
+    }
+
+    /// The candidates of the concrete `strategies`, sharing one partition
+    /// and one factorization per sub-system between them.
+    fn build_all(
+        h: &Matrix<W>,
+        scenario: &FailureScenario,
+        strategies: &[Strategy],
+    ) -> Result<Vec<Candidate<W>>, DecodeError> {
+        let faulty = scenario.faulty();
+        let mut out = Vec::with_capacity(strategies.len());
+        if faulty.is_empty() {
+            for &strategy in strategies {
+                out.push(Candidate {
+                    strategy,
+                    phase_a: Vec::new(),
+                    phase_b: None,
+                    consumed: Vec::new(),
+                });
+            }
+            return Ok(out);
+        }
+        let surviving = scenario.surviving(h.cols());
+        let sequence = |s: &Strategy| match s {
+            Strategy::TraditionalNormal | Strategy::PpmNormalRest => CalcSequence::Normal,
+            _ => CalcSequence::MatrixFirst,
         };
-        a.iter().flatten().map(|(c, _)| *c).chain(
-            b.into_iter()
-                .flatten()
-                .flat_map(|(_, t)| t.iter().map(|(c, _)| *c)),
+        let (ppm, traditional): (Vec<Strategy>, Vec<Strategy>) = strategies
+            .iter()
+            .partition(|s| matches!(s, Strategy::PpmNormalRest | Strategy::PpmMatrixFirstRest));
+
+        if !ppm.is_empty() {
+            let part = Partition::build(h, scenario);
+            // Independent sub-matrices always use matrix-first: every
+            // element on their faulty columns is non-zero, so
+            // u(Fᵢ) + u(Sᵢ) > u(Fᵢ⁻¹·Sᵢ) (paper §III-B).
+            let mut phase_a = Vec::with_capacity(part.independent.len());
+            let mut consumed = Vec::new();
+            for sub in &part.independent {
+                let solved = Solved::new(h, &sub.rows, &sub.faulty, &surviving)?;
+                phase_a.push(solved.program(CalcSequence::MatrixFirst));
+                consumed.extend(solved.rows);
+            }
+            // Recovered independent blocks are inputs of H_rest.
+            let mut rest_sources = surviving.clone();
+            rest_sources.extend(part.independent_faulty());
+            rest_sources.sort_unstable();
+            let rest = part
+                .rest
+                .as_ref()
+                .map(|rest| Solved::new(h, &rest.rows, &rest.faulty, &rest_sources))
+                .transpose()?;
+            if let Some(rest) = &rest {
+                consumed.extend(&rest.rows);
+            }
+            for strategy in &ppm {
+                out.push(Candidate {
+                    strategy: *strategy,
+                    phase_a: phase_a.clone(),
+                    phase_b: rest.as_ref().map(|r| r.program(sequence(strategy))),
+                    consumed: consumed.clone(),
+                });
+            }
+        }
+        if !traditional.is_empty() {
+            let all_rows: Vec<usize> = (0..h.rows()).collect();
+            let solved = Solved::new(h, &all_rows, faulty, &surviving)?;
+            for strategy in &traditional {
+                out.push(Candidate {
+                    strategy: *strategy,
+                    phase_a: Vec::new(),
+                    phase_b: Some(solved.program(sequence(strategy))),
+                    consumed: solved.rows.clone(),
+                });
+            }
+        }
+        Ok(out)
+    }
+
+    /// Lowers the candidate to a validated plan: one segment per
+    /// program, one verify run per surplus row of `h`, all sharing one
+    /// [`KernelMap`].
+    fn lower(
+        &self,
+        h: &Matrix<W>,
+        faulty: Vec<usize>,
+        backend: Backend,
+    ) -> Result<DecodePlan<W>, DecodeError> {
+        let mut kernels = KernelMap::new(backend);
+        let phase_a = self
+            .phase_a
+            .iter()
+            .map(|p| lower_program(p, &mut kernels))
+            .collect();
+        let phase_b = self
+            .phase_b
+            .as_ref()
+            .map(|p| lower_program(p, &mut kernels));
+        // Surplus rows: every parity equation the decode did not consume,
+        // with its non-zero terms over the full stripe. An empty scenario
+        // leaves all of H surplus — verification degenerates to the full
+        // parity-consistency check.
+        let mut used = vec![false; h.rows()];
+        for &r in &self.consumed {
+            used[r] = true;
+        }
+        let verify = (0..h.rows())
+            .filter(|&r| !used[r])
+            .map(|row| {
+                let mut instrs = Vec::new();
+                let terms = (0..h.cols()).filter_map(|c| {
+                    let v = h.get(row, c);
+                    (v != W::ZERO).then_some((v, Loc::Sector(c)))
+                });
+                emit_run(&mut instrs, 0, terms, &mut kernels);
+                VerifyRun { row, instrs }
+            })
+            .collect();
+        let plan = DecodePlan::validated(
+            phase_a,
+            phase_b,
+            Some(verify),
+            faulty,
+            h.cols(),
+            self.strategy,
         )
-    }
-}
-
-/// One sub-matrix's worth of work (an independent `Hᵢ` or `H_rest`).
-#[derive(Clone, Debug)]
-pub(crate) struct SubPlan<W: GfWord> {
-    pub(crate) program: Program<W>,
-}
-
-/// Precomputed [`RegionMul`] per distinct coefficient of a plan.
-///
-/// Kernels are held behind `Arc` so derived plans ([`DecodePlan::
-/// restrict_to`]) and compiled tapes ([`crate::tape::PlanTape`]) share
-/// the parent's multiplication tables instead of rebuilding them.
-#[derive(Debug)]
-pub(crate) struct RegionCache<W: GfWord> {
-    map: HashMap<u64, Arc<RegionMul<W>>>,
-}
-
-impl<W: GfWord> RegionCache<W> {
-    pub(crate) fn build(coeffs: impl Iterator<Item = W>, backend: Backend) -> Self {
-        let mut map = HashMap::new();
-        for c in coeffs {
-            // Checked construction: each multiplier probes its dispatched
-            // kernel against the scalar reference once (at plan build, not
-            // per region op) and demotes itself to scalar on a mismatch,
-            // so a faulty SIMD unit degrades throughput instead of bytes.
-            map.entry(c.to_u64())
-                .or_insert_with(|| Arc::new(RegionMul::new_checked(c, backend)));
+        .map_err(DecodeError::MalformedTape)?;
+        if plan.mult_xors != self.cost() {
+            return Err(DecodeError::MalformedTape(
+                "lowering changed the predicted mult_XORs",
+            ));
         }
-        RegionCache { map }
-    }
-
-    /// A cache for the subset `coeffs`, sharing this cache's kernels: a
-    /// restricted plan's coefficients all come from parent programs, so
-    /// restriction never rebuilds a table the parent already owns. (A
-    /// coefficient the parent somehow lacks is built fresh rather than
-    /// panicking.)
-    fn share(&self, coeffs: impl Iterator<Item = W>, backend: Backend) -> Self {
-        let mut map = HashMap::new();
-        for c in coeffs {
-            let key = c.to_u64();
-            map.entry(key).or_insert_with(|| match self.map.get(&key) {
-                Some(kernel) => Arc::clone(kernel),
-                None => Arc::new(RegionMul::new_checked(c, backend)),
-            });
-        }
-        RegionCache { map }
-    }
-
-    /// The shared multiplier for `c` (must have been collected at build)
-    /// — the tape compiler embeds these handles in its instructions.
-    pub(crate) fn get_arc(&self, c: W) -> Arc<RegionMul<W>> {
-        Arc::clone(&self.map[&c.to_u64()])
+        Ok(plan)
     }
 }
 
-/// A complete, executable decoding plan for one failure scenario.
+/// A complete, executable decoding plan for one failure scenario: the
+/// chosen calculation sequences lowered to validated instruction
+/// segments, one per independent sub-matrix plus `H_rest`, and the
+/// surplus-row verify runs.
 ///
-/// Build with [`DecodePlan::build`], execute with
-/// [`Executor::decode`](crate::Executor::decode). Building lowers the
-/// plan to its [`PlanTape`] and validates it, so a built plan is always
-/// executable. The plan is immutable and `Sync`; one plan can decode any
-/// number of stripes of the same geometry.
+/// Build with [`DecodePlan::build`] (or receive one through
+/// [`WirePlan::compile`](crate::WirePlan::compile)), execute with
+/// [`Executor::decode`](crate::Executor::decode). Every constructor ends
+/// in the same validator, so a plan is always executable. The plan is
+/// immutable and `Sync`; one plan can decode any number of stripes of
+/// the same geometry.
 #[derive(Debug)]
 pub struct DecodePlan<W: GfWord> {
-    pub(crate) phase_a: Vec<SubPlan<W>>,
-    pub(crate) phase_b: Option<SubPlan<W>>,
-    pub(crate) regions: RegionCache<W>,
-    total_sectors: usize,
+    /// One segment per independent sub-matrix (parallel in phase A).
+    pub(crate) phase_a: Vec<TapeSegment<W>>,
+    /// The `H_rest` segment, run after phase-A outputs install.
+    pub(crate) phase_b: Option<TapeSegment<W>>,
+    /// Surplus verify runs: every parity-check row of `H` the plan's
+    /// sub-systems did *not* consume as part of `F`. The decode
+    /// satisfies its consumed rows by construction, so re-evaluating
+    /// these is an independent detector of corrupt surviving inputs.
+    /// `None` for restricted plans (they do not materialize the full
+    /// stripe, so no full parity equation can be checked).
+    pub(crate) verify: Option<Vec<VerifyRun<W>>>,
     faulty: Vec<usize>,
+    total_sectors: usize,
     strategy: Strategy,
-    backend: Backend,
-    cost: usize,
+    mult_xors: usize,
     /// `C₁..C₄` of every candidate sequence, captured when the plan was
-    /// chosen by [`Strategy::PpmAuto`] (the sweep builds all four
-    /// anyway, so recording them is free). `None` for plans built with a
-    /// concrete strategy or derived by [`DecodePlan::restrict_to`].
-    predicted: Option<crate::cost::CostReport>,
-    /// Surplus parity-check rows: `(global H row, non-zero terms over all
-    /// stripe sectors)` for every row of `H` the plan's sub-systems did
-    /// *not* consume as part of `F`. The decode satisfies its consumed
-    /// rows by construction, so re-evaluating these is an independent
-    /// detector of corrupt surviving inputs. `None` for restricted plans
-    /// (they do not materialize the full stripe, so no full parity
-    /// equation can be checked).
-    pub(crate) surplus: Option<Vec<SurplusRow<W>>>,
-    /// The compiled instruction tape (see [`crate::tape`]) — what the
-    /// executor actually runs.
-    tape: PlanTape<W>,
+    /// chosen by [`Strategy::PpmAuto`]. `None` for plans built with a
+    /// concrete strategy, restricted or compiled from the wire.
+    predicted: Option<CostReport>,
+    rest_splittable: bool,
 }
-
-/// One surplus parity-check row: its global `H` row index and the
-/// non-zero `(coefficient, sector)` terms of its check equation.
-pub(crate) type SurplusRow<W> = (usize, Vec<(W, usize)>);
 
 impl<W: GfWord> DecodePlan<W> {
     /// Builds a plan for recovering `scenario` under parity-check matrix
-    /// `h`, using `strategy` and preparing region tables for `backend`,
-    /// and compiles its instruction tape.
+    /// `h`, using `strategy` and preparing region kernels for `backend`.
     ///
     /// # Errors
     /// [`RepairError::SectorOutOfRange`](crate::RepairError::SectorOutOfRange)
     /// and [`RepairError::Unrecoverable`](crate::RepairError::Unrecoverable)
     /// for scenarios the code cannot repair;
     /// [`RepairError::MalformedTape`](crate::RepairError::MalformedTape)
-    /// if the lowered tape fails validation.
+    /// if the lowered plan fails validation.
     pub fn build(
         h: &Matrix<W>,
         scenario: &FailureScenario,
         strategy: Strategy,
         backend: Backend,
     ) -> Result<DecodePlan<W>, DecodeError> {
-        Self::build_with(h, scenario, strategy, backend, None)?.compiled()
-    }
-
-    /// Like [`DecodePlan::build`], but partitions with the SD-specific
-    /// Algorithm 1 shortcut ([`Partition::build_sd`]) instead of the
-    /// general footprint scan. Produces an equivalent plan; only the
-    /// partitioning bookkeeping is cheaper.
-    pub fn build_sd(
-        code: &ppm_codes::SdCode<W>,
-        h: &Matrix<W>,
-        scenario: &FailureScenario,
-        strategy: Strategy,
-        backend: Backend,
-    ) -> Result<DecodePlan<W>, DecodeError> {
         if let Some(&bad) = scenario.faulty().iter().find(|&&s| s >= h.cols()) {
             return Err(DecodeError::SectorOutOfRange {
                 sector: bad,
                 total: h.cols(),
             });
         }
-        let part = Partition::build_sd(code, h, scenario);
-        Self::build_with(h, scenario, strategy, backend, Some(&part))?.compiled()
-    }
-
-    /// Lowers the plan to its tape. Private builders leave the tape
-    /// empty so the `PpmAuto` sweep compiles only its winning candidate;
-    /// every public constructor ends here.
-    fn compiled(mut self) -> Result<Self, DecodeError> {
-        self.tape = PlanTape::compile(&self)?;
-        Ok(self)
-    }
-
-    fn build_with(
-        h: &Matrix<W>,
-        scenario: &FailureScenario,
-        strategy: Strategy,
-        backend: Backend,
-        precomputed: Option<&Partition>,
-    ) -> Result<DecodePlan<W>, DecodeError> {
-        if let Some(&bad) = scenario.faulty().iter().find(|&&s| s >= h.cols()) {
-            return Err(DecodeError::SectorOutOfRange {
-                sector: bad,
-                total: h.cols(),
-            });
-        }
-
-        if let Strategy::PpmAuto = strategy {
-            // The paper's sequence optimization: evaluate the candidate
-            // calculation sequences and keep the cheapest, preferring the
-            // partitioned plans (parallelism) on ties — iterate C₄, C₃,
-            // C₂, C₁ and keep strict improvements only.
-            let mut best: Option<DecodePlan<W>> = None;
-            let (mut c1, mut c2, mut c3, mut c4, mut parallelism) = (0, 0, 0, 0, 0);
-            for s in [
-                Strategy::PpmNormalRest,
-                Strategy::PpmMatrixFirstRest,
-                Strategy::TraditionalMatrixFirst,
-                Strategy::TraditionalNormal,
-            ] {
-                let plan = Self::build_with(h, scenario, s, backend, precomputed)?;
-                match s {
-                    Strategy::TraditionalNormal => c1 = plan.cost,
-                    Strategy::TraditionalMatrixFirst => c2 = plan.cost,
-                    Strategy::PpmMatrixFirstRest => c3 = plan.cost,
-                    Strategy::PpmNormalRest => {
-                        c4 = plan.cost;
-                        parallelism = plan.parallelism();
-                    }
-                    Strategy::PpmAuto => unreachable!(),
-                }
-                if best.as_ref().is_none_or(|b| plan.cost < b.cost) {
-                    best = Some(plan);
-                }
-            }
-            // The loop above ran at least once, so `best` is populated;
-            // keep the failure structured rather than panicking.
-            let Some(mut best) = best else {
-                return Err(DecodeError::Unrecoverable {
-                    needed: scenario.len(),
-                    rank: 0,
-                });
-            };
-            best.predicted = Some(crate::cost::CostReport {
-                c1,
-                c2,
-                c3,
-                c4,
-                parallelism,
-            });
-            return Ok(best);
-        }
-
-        let faulty = scenario.faulty().to_vec();
-        // Global H rows consumed as F rows across every sub-system; the
-        // complement becomes the plan's surplus verification rows.
-        let mut consumed: Vec<usize> = Vec::new();
-        let (phase_a, phase_b) = if faulty.is_empty() {
-            (Vec::new(), None)
-        } else {
-            match strategy {
-                Strategy::TraditionalNormal | Strategy::TraditionalMatrixFirst => {
-                    let seq = if strategy == Strategy::TraditionalNormal {
-                        CalcSequence::Normal
-                    } else {
-                        CalcSequence::MatrixFirst
-                    };
-                    let all_rows: Vec<usize> = (0..h.rows()).collect();
-                    let sources = scenario.surviving(h.cols());
-                    let (sub, rows) = build_subsystem(h, &all_rows, &faulty, &sources, seq)?;
-                    consumed.extend(rows);
-                    (Vec::new(), Some(sub))
-                }
-                Strategy::PpmMatrixFirstRest | Strategy::PpmNormalRest => {
-                    let owned;
-                    let part = match precomputed {
-                        Some(p) => p,
-                        None => {
-                            owned = Partition::build(h, scenario);
-                            &owned
-                        }
-                    };
-                    let surviving = scenario.surviving(h.cols());
-                    // Independent sub-matrices always use matrix-first:
-                    // every element on their faulty columns is non-zero,
-                    // so u(Fᵢ) + u(Sᵢ) > u(Fᵢ⁻¹·Sᵢ) (paper §III-B).
-                    let mut phase_a = Vec::with_capacity(part.independent.len());
-                    for sub in &part.independent {
-                        let (sp, rows) = build_subsystem(
-                            h,
-                            &sub.rows,
-                            &sub.faulty,
-                            &surviving,
-                            CalcSequence::MatrixFirst,
-                        )?;
-                        consumed.extend(rows);
-                        phase_a.push(sp);
-                    }
-                    let phase_b = match &part.rest {
-                        None => None,
-                        Some(rest) => {
-                            let seq = if strategy == Strategy::PpmNormalRest {
-                                CalcSequence::Normal
-                            } else {
-                                CalcSequence::MatrixFirst
-                            };
-                            // Recovered independent blocks are inputs here.
-                            let mut sources = surviving.clone();
-                            sources.extend(part.independent_faulty());
-                            sources.sort_unstable();
-                            let (sp, rows) =
-                                build_subsystem(h, &rest.rows, &rest.faulty, &sources, seq)?;
-                            consumed.extend(rows);
-                            Some(sp)
-                        }
-                    };
-                    (phase_a, phase_b)
-                }
-                Strategy::PpmAuto => unreachable!("handled above"),
-            }
+        let missing = DecodeError::Unrecoverable {
+            needed: scenario.len(),
+            rank: 0,
         };
+        let (winner, predicted) = if strategy == Strategy::PpmAuto {
+            // The paper's sequence optimization: price all four candidate
+            // sequences and keep the cheapest, preferring the partitioned
+            // plans (parallelism) on ties. Only the winner is lowered.
+            let candidates = Candidate::build_all(h, scenario, &Strategy::CONCRETE)?;
+            let of = |s: Strategy| candidates.iter().find(|c| c.strategy == s);
+            let cost = |s: Strategy| of(s).map_or(0, Candidate::cost);
+            let report = CostReport {
+                c1: cost(Strategy::TraditionalNormal),
+                c2: cost(Strategy::TraditionalMatrixFirst),
+                c3: cost(Strategy::PpmMatrixFirstRest),
+                c4: cost(Strategy::PpmNormalRest),
+                parallelism: of(Strategy::PpmNormalRest).map_or(0, |c| c.phase_a.len()),
+            };
+            let best = report.best().0;
+            let winner = candidates.into_iter().find(|c| c.strategy == best);
+            (winner.ok_or(missing)?, Some(report))
+        } else {
+            let winner = Candidate::build_all(h, scenario, &[strategy])?.pop();
+            (winner.ok_or(missing)?, None)
+        };
+        let mut plan = winner.lower(h, scenario.faulty().to_vec(), backend)?;
+        plan.predicted = predicted;
+        Ok(plan)
+    }
 
-        // Surplus rows: every parity equation the decode did not consume,
-        // with its non-zero terms over the full stripe. An empty scenario
-        // leaves all of H surplus — verification degenerates to the full
-        // parity-consistency check.
-        let mut used = vec![false; h.rows()];
-        for &r in &consumed {
-            used[r] = true;
+    /// Assembles a plan from its lowered parts after checking every
+    /// invariant the executor relies on: per-segment slot bounds,
+    /// run-head discipline and full slot coverage
+    /// ([`check_segment`]), verify-run shape ([`check_verify_run`]), and
+    /// that the outputs recover each declared faulty sector at most
+    /// once. The one validator behind plan build, restriction and
+    /// [`WirePlan::compile`](crate::WirePlan::compile).
+    pub(crate) fn validated(
+        phase_a: Vec<TapeSegment<W>>,
+        phase_b: Option<TapeSegment<W>>,
+        verify: Option<Vec<VerifyRun<W>>>,
+        faulty: Vec<usize>,
+        total_sectors: usize,
+        strategy: Strategy,
+    ) -> Result<Self, &'static str> {
+        if faulty.windows(2).any(|w| w[0] >= w[1]) {
+            return Err("faulty set not sorted and unique");
         }
-        let surplus: Vec<SurplusRow<W>> = used
-            .iter()
-            .enumerate()
-            .filter(|(_, &u)| !u)
-            .map(|(r, _)| {
-                let terms = (0..h.cols())
-                    .filter_map(|c| {
-                        let v = h.get(r, c);
-                        (v != W::ZERO).then_some((v, c))
-                    })
-                    .collect();
-                (r, terms)
-            })
-            .collect();
-
-        let cost = phase_a.iter().map(|s| s.program.mult_xors()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.program.mult_xors());
-        let coeffs = phase_a
+        if faulty.iter().any(|&s| s >= total_sectors) {
+            return Err("faulty sector out of range");
+        }
+        for seg in phase_a.iter().chain(&phase_b) {
+            check_segment(seg, total_sectors)?;
+        }
+        for run in verify.iter().flatten() {
+            check_verify_run(run, total_sectors)?;
+        }
+        // Every output sector must be one of the declared faulty
+        // sectors, and no sector may be produced twice.
+        let mut produced: Vec<usize> = phase_a
             .iter()
             .chain(&phase_b)
-            .flat_map(|s| s.program.coefficients())
-            .chain(surplus.iter().flat_map(|(_, t)| t.iter().map(|(c, _)| *c)))
-            .collect::<Vec<_>>();
+            .flat_map(TapeSegment::output_sectors)
+            .collect();
+        produced.sort_unstable();
+        if produced.windows(2).any(|w| w[0] == w[1]) {
+            return Err("sector produced by two segments");
+        }
+        if produced.iter().any(|s| faulty.binary_search(s).is_err()) {
+            return Err("output sector not in faulty set");
+        }
+
+        let mult_xors = phase_a.iter().chain(&phase_b).map(|s| s.instrs.len()).sum();
+        let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
+            seg.instrs
+                .get(seg.scratch_boundary..)
+                .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
+        });
         Ok(DecodePlan {
             phase_a,
             phase_b,
-            regions: RegionCache::build(coeffs.into_iter(), backend),
-            total_sectors: h.cols(),
+            verify,
             faulty,
+            total_sectors,
             strategy,
-            backend,
-            cost,
+            mult_xors,
             predicted: None,
-            surplus: Some(surplus),
-            tape: PlanTape::empty(),
+            rest_splittable,
         })
     }
 
@@ -536,11 +549,12 @@ impl<W: GfWord> DecodePlan<W> {
     /// PPM's partition makes the dependency structure explicit: an
     /// independent sub-matrix is kept only if it recovers a wanted sector
     /// or produces an input of the (pruned) remaining sub-matrix; within
-    /// every kept program, outputs for unwanted sectors are dropped.
-    /// For an LRC single-block degraded read this collapses the plan to
-    /// one local-group repair — the scenario the paper's introduction
-    /// motivates ("local parity to reduce disk I/O … and degraded read
-    /// latency").
+    /// every kept segment, outputs for unwanted sectors and the `T` slots
+    /// only they read are dropped. For an LRC single-block degraded read
+    /// this collapses the plan to one local-group repair — the scenario
+    /// the paper's introduction motivates ("local parity to reduce disk
+    /// I/O … and degraded read latency"). The restricted plan shares the
+    /// parent's kernels.
     ///
     /// Decoding the restricted plan writes only the retained sectors;
     /// other faulty sectors stay erased.
@@ -564,93 +578,48 @@ impl<W: GfWord> DecodePlan<W> {
     ///
     /// # Errors
     /// [`RepairError::MalformedTape`](crate::RepairError::MalformedTape)
-    /// if the restricted plan's tape fails validation.
+    /// if the restricted plan fails validation.
     pub fn restrict_to(&self, wanted: &[usize]) -> Result<DecodePlan<W>, DecodeError> {
-        let wanted: std::collections::BTreeSet<usize> = wanted
-            .iter()
-            .copied()
-            .filter(|s| self.faulty.binary_search(s).is_ok())
-            .collect();
+        let is_faulty = |s: &usize| self.faulty.binary_search(s).is_ok();
+        let wanted: BTreeSet<usize> = wanted.iter().copied().filter(is_faulty).collect();
 
         // Prune phase B to the wanted rest-outputs; collect which faulty
         // sectors it still reads (they must be produced by phase A).
-        let mut rest_inputs: std::collections::BTreeSet<usize> = Default::default();
-        let phase_b = self.phase_b.as_ref().and_then(|sp| {
-            let keep: std::collections::BTreeSet<usize> = sp
-                .program
-                .output_sectors()
-                .filter(|s| wanted.contains(s))
-                .collect();
-            if keep.is_empty() {
-                return None;
-            }
-            let program = sp.program.prune_outputs(&keep);
-            for src in program.stripe_sources() {
-                if self.faulty.binary_search(&src).is_ok() {
-                    rest_inputs.insert(src);
-                }
-            }
-            Some(SubPlan { program })
-        });
-
-        // Keep phase-A sub-plans that produce a wanted sector or a rest
+        let phase_b = self
+            .phase_b
+            .as_ref()
+            .and_then(|seg| seg.pruned(|s| wanted.contains(&s)));
+        let rest_inputs: BTreeSet<usize> = phase_b
+            .iter()
+            .flat_map(TapeSegment::sector_sources)
+            .filter(is_faulty)
+            .collect();
+        // Keep phase-A segments that produce a wanted sector or a rest
         // input, pruned to exactly those outputs.
-        let phase_a: Vec<SubPlan<W>> = self
+        let phase_a: Vec<TapeSegment<W>> = self
             .phase_a
             .iter()
-            .filter_map(|sp| {
-                let keep: std::collections::BTreeSet<usize> = sp
-                    .program
-                    .output_sectors()
-                    .filter(|s| wanted.contains(s) || rest_inputs.contains(s))
-                    .collect();
-                if keep.is_empty() {
-                    None
-                } else {
-                    Some(SubPlan {
-                        program: sp.program.prune_outputs(&keep),
-                    })
-                }
-            })
+            .filter_map(|seg| seg.pruned(|s| wanted.contains(&s) || rest_inputs.contains(&s)))
             .collect();
-
-        let cost = phase_a.iter().map(|s| s.program.mult_xors()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.program.mult_xors());
         let mut faulty: Vec<usize> = phase_a
             .iter()
             .chain(&phase_b)
-            .flat_map(|s| s.program.output_sectors())
+            .flat_map(TapeSegment::output_sectors)
             .collect();
         faulty.sort_unstable();
-        let coeffs: Vec<W> = phase_a
-            .iter()
-            .chain(&phase_b)
-            .flat_map(|s| s.program.coefficients())
-            .collect();
-        DecodePlan {
+        // The candidate costs predicted the *full* repair (this plan does
+        // strictly less work), and a restricted decode leaves unwanted
+        // faulty sectors erased, so no full parity equation can be
+        // evaluated afterwards: neither carries over.
+        DecodePlan::validated(
             phase_a,
             phase_b,
-            regions: self.regions.share(coeffs.into_iter(), self.backend),
-            total_sectors: self.total_sectors,
+            None,
             faulty,
-            strategy: self.strategy,
-            backend: self.backend,
-            cost,
-            // The candidate costs predicted the *full* repair; this plan
-            // does strictly less work, so carrying them over would lie.
-            predicted: None,
-            // A restricted decode leaves unwanted faulty sectors erased,
-            // so no full parity equation can be evaluated afterwards.
-            surplus: None,
-            tape: PlanTape::empty(),
-        }
-        .compiled()
-    }
-
-    /// The plan's compiled instruction tape, lowered and validated when
-    /// the plan was built.
-    pub fn tape(&self) -> &PlanTape<W> {
-        &self.tape
+            self.total_sectors,
+            self.strategy,
+        )
+        .map_err(DecodeError::MalformedTape)
     }
 
     /// The degree of parallelism `p`: how many independent sub-matrices
@@ -668,18 +637,19 @@ impl<W: GfWord> DecodePlan<W> {
     /// §III-C). The paper's ideal parallel saving is `Σcᵢ − c_max`; the
     /// experiment harness uses these to model multi-core execution.
     pub fn independent_costs(&self) -> Vec<usize> {
-        self.phase_a.iter().map(|s| s.program.mult_xors()).collect()
+        self.phase_a.iter().map(|s| s.instrs.len()).collect()
     }
 
     /// mult_XORs of the remaining sub-matrix `H_rest` (0 if null).
     pub fn rest_cost(&self) -> usize {
-        self.phase_b.as_ref().map_or(0, |s| s.program.mult_xors())
+        self.phase_b.as_ref().map_or(0, |s| s.instrs.len())
     }
 
     /// Total mult_XORs this plan performs — the paper's computational
-    /// cost `C` for the chosen strategy.
+    /// cost `C` for the chosen strategy, and exactly the number of
+    /// instructions the executor runs.
     pub fn mult_xors(&self) -> usize {
-        self.cost
+        self.mult_xors
     }
 
     /// The strategy the plan was built with (for `PpmAuto`, the winning
@@ -691,12 +661,13 @@ impl<W: GfWord> DecodePlan<W> {
     /// The predicted `C₁..C₄` of all four candidate sequences, when this
     /// plan was selected by [`Strategy::PpmAuto`] (the sweep prices every
     /// candidate, so the report is captured for free). `None` for plans
-    /// built with a concrete strategy or restricted plans.
-    pub fn predicted_costs(&self) -> Option<crate::cost::CostReport> {
+    /// built with a concrete strategy, restricted plans and plans
+    /// compiled from the wire.
+    pub fn predicted_costs(&self) -> Option<CostReport> {
         self.predicted
     }
 
-    /// The faulty sectors this plan recovers.
+    /// The faulty sectors this plan recovers, ascending.
     pub fn faulty(&self) -> &[usize] {
         &self.faulty
     }
@@ -729,7 +700,7 @@ impl<W: GfWord> DecodePlan<W> {
             .phase_a
             .iter()
             .chain(&self.phase_b)
-            .flat_map(|sp| sp.program.stripe_sources())
+            .flat_map(TapeSegment::sector_sources)
             .filter(|s| self.faulty.binary_search(s).is_err())
             .collect();
         read.sort_unstable();
@@ -737,11 +708,28 @@ impl<W: GfWord> DecodePlan<W> {
         read
     }
 
-    /// Whether this plan can run the surplus-row verification pass.
+    /// Whether phase B splits across nodes: true when every output-
+    /// section instruction of `H_rest` reads intermediate `T` slots only
+    /// (the Normal sequence), so a survivor host can compute the
+    /// partial-sum `T` blocks from its local sectors and ship *those* —
+    /// `z_b` blocks — instead of whole surviving sectors, and the
+    /// aggregator finishes `F⁻¹ · T` without ever seeing the stripe.
+    /// False for a matrix-first `H_rest`, which reads sectors directly.
+    pub fn rest_splittable(&self) -> bool {
+        self.rest_splittable
+    }
+
+    /// Number of partial-sum (`T`) blocks a split phase B ships — the
+    /// scratch slots of the `H_rest` segment (0 without a phase B).
+    pub fn rest_scratch_slots(&self) -> usize {
+        self.phase_b.as_ref().map_or(0, |seg| seg.scratch_slots)
+    }
+
+    /// Whether the plan can run the surplus-row verification pass.
     /// `false` only for [`DecodePlan::restrict_to`] projections, which do
     /// not materialize the full stripe.
     pub fn supports_verify(&self) -> bool {
-        self.surplus.is_some()
+        self.verify.is_some()
     }
 
     /// Global `H` row indices of the surplus (unconsumed) parity-check
@@ -750,17 +738,12 @@ impl<W: GfWord> DecodePlan<W> {
     /// is left over, so corruption in surviving blocks is
     /// information-theoretically undetectable.
     pub fn surplus_row_indices(&self) -> Vec<usize> {
-        self.surplus
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .map(|(r, _)| *r)
-            .collect()
+        self.verify.iter().flatten().map(|run| run.row).collect()
     }
 
     /// Number of surplus parity-check rows available to a verify pass.
     pub fn verify_rows(&self) -> usize {
-        self.surplus.as_deref().unwrap_or_default().len()
+        self.verify.as_ref().map_or(0, Vec::len)
     }
 
     /// Predicted cost of one verify pass in `mult_XORs`: the non-zero
@@ -768,95 +751,12 @@ impl<W: GfWord> DecodePlan<W> {
     /// same exactness as the decode ledger, since verification reuses the
     /// identical region kernels.
     pub fn verify_mult_xors(&self) -> usize {
-        self.surplus
-            .as_deref()
-            .unwrap_or_default()
+        self.verify
             .iter()
-            .map(|(_, t)| t.len())
+            .flatten()
+            .map(|run| run.instrs.len())
             .sum()
     }
-}
-
-/// Builds one sub-matrix program: select a square invertible system from
-/// the candidate rows, invert, and emit the chosen sequence. Also returns
-/// the *global* `H` rows the system consumed, so the caller can derive
-/// the plan's surplus (unused) verification rows.
-fn build_subsystem<W: GfWord>(
-    h: &Matrix<W>,
-    candidate_rows: &[usize],
-    faulty: &[usize],
-    sources: &[usize],
-    seq: CalcSequence,
-) -> Result<(SubPlan<W>, Vec<usize>), DecodeError> {
-    let f_all = h.select_rows(candidate_rows).select_columns(faulty);
-    let picked = f_all.select_independent_rows();
-    if picked.len() < faulty.len() {
-        return Err(DecodeError::Unrecoverable {
-            needed: faulty.len(),
-            rank: picked.len(),
-        });
-    }
-    let rows: Vec<usize> = picked.iter().map(|&i| candidate_rows[i]).collect();
-    // One elimination serves both sequences: the factorization yields the
-    // matrix-first product `F⁻¹·S` directly (no explicit inverse) and the
-    // explicit `F⁻¹` for the normal sequence. Independent row selection
-    // guarantees invertibility, so the None arm is defensive.
-    let Some((fact, _unused_local)) = ppm_matrix::Factorization::with_residual(&f_all, &picked)
-    else {
-        return Err(DecodeError::Unrecoverable {
-            needed: faulty.len(),
-            rank: picked.len(),
-        });
-    };
-    let s = h.select_rows(&rows).select_columns(sources);
-
-    let program = match seq {
-        CalcSequence::MatrixFirst => {
-            let g = fact.solve_mat(&s);
-            let outputs = faulty
-                .iter()
-                .enumerate()
-                .map(|(fi, &sector)| {
-                    let terms = (0..sources.len())
-                        .filter_map(|j| {
-                            let c = g.get(fi, j);
-                            (c != W::ZERO).then_some((c, sources[j]))
-                        })
-                        .collect();
-                    (sector, terms)
-                })
-                .collect();
-            Program::MatrixFirst { outputs }
-        }
-        CalcSequence::Normal => {
-            let f_inv = fact.inverse();
-            let t_terms = (0..rows.len())
-                .map(|e| {
-                    (0..sources.len())
-                        .filter_map(|j| {
-                            let c = s.get(e, j);
-                            (c != W::ZERO).then_some((c, sources[j]))
-                        })
-                        .collect()
-                })
-                .collect();
-            let f_terms = faulty
-                .iter()
-                .enumerate()
-                .map(|(fi, &sector)| {
-                    let terms = (0..rows.len())
-                        .filter_map(|e| {
-                            let c = f_inv.get(fi, e);
-                            (c != W::ZERO).then_some((c, e))
-                        })
-                        .collect();
-                    (sector, terms)
-                })
-                .collect();
-            Program::Normal { t_terms, f_terms }
-        }
-    };
-    Ok((SubPlan { program }, rows))
 }
 
 #[cfg(test)]
@@ -966,42 +866,34 @@ mod tests {
         assert_eq!(none.parallelism(), 0);
     }
 
-    /// Restriction shares the parent's region kernels: every coefficient
-    /// of a restricted plan resolves to the *same* `RegionMul` allocation
-    /// the parent owns — no multiplication table is rebuilt.
+    /// Restriction shares the parent's region kernels: every instruction
+    /// of a restricted plan holds the *same* `RegionMul` allocation the
+    /// parent uses for that constant — no multiplication table is
+    /// rebuilt.
     #[test]
     fn restrict_to_shares_parent_kernels() {
         let (h, sc) = paper_case();
         let full = DecodePlan::build(&h, &sc, Strategy::PpmNormalRest, Backend::Scalar).unwrap();
+        let kernels = |plan: &DecodePlan<u8>| -> Vec<std::sync::Arc<ppm_gf::RegionMul<u8>>> {
+            plan.phase_a
+                .iter()
+                .chain(&plan.phase_b)
+                .flat_map(|s| &s.instrs)
+                .map(|i| std::sync::Arc::clone(&i.kernel))
+                .collect()
+        };
+        let parent = kernels(&full);
         for wanted in [&[2][..], &[13], &[2, 6, 10, 13, 14]] {
             let restricted = full.restrict_to(wanted).unwrap();
-            assert!(!restricted.regions.map.is_empty(), "{wanted:?}");
-            for (key, kernel) in &restricted.regions.map {
-                let parent = full
-                    .regions
-                    .map
-                    .get(key)
-                    .expect("restricted coefficient must come from the parent");
+            let mine = kernels(&restricted);
+            assert!(!mine.is_empty(), "{wanted:?}");
+            for kernel in &mine {
                 assert!(
-                    Arc::ptr_eq(kernel, parent),
-                    "kernel for coefficient {key:#x} was rebuilt on restriction"
+                    parent.iter().any(|p| std::sync::Arc::ptr_eq(p, kernel)),
+                    "kernel for coefficient {:#x} was rebuilt on restriction",
+                    kernel.constant()
                 );
             }
-        }
-    }
-
-    /// The Algorithm 1 fast path must yield plans with identical cost and
-    /// parallelism to the general path.
-    #[test]
-    fn build_sd_equivalent_to_general() {
-        let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
-        let h = code.parity_check_matrix();
-        let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-        for s in Strategy::CONCRETE.into_iter().chain([Strategy::PpmAuto]) {
-            let general = DecodePlan::build(&h, &sc, s, Backend::Scalar).unwrap();
-            let fast = DecodePlan::build_sd(&code, &h, &sc, s, Backend::Scalar).unwrap();
-            assert_eq!(fast.mult_xors(), general.mult_xors(), "{s:?}");
-            assert_eq!(fast.parallelism(), general.parallelism(), "{s:?}");
         }
     }
 
@@ -1130,7 +1022,7 @@ mod restrict_matrix_first_tests {
     use ppm_codes::{ErasureCode, SdCode};
 
     /// Pruning a plan whose H_rest uses the matrix-first sequence
-    /// exercises Program::MatrixFirst's prune/stripe_sources paths.
+    /// exercises segment pruning without `T` slots.
     #[test]
     fn restrict_matrix_first_rest() {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();

@@ -679,10 +679,11 @@ mod tests {
         assert_eq!(broken, pristine);
         let after = serial.arena().stats();
         assert_eq!(after.fresh, before.fresh, "steady state allocates nothing");
-        assert_eq!(plan.tape().segments(), 4);
+        let segments = plan.parallelism() + usize::from(plan.has_phase_b());
+        assert_eq!(segments, 4);
         assert_eq!(
             after.reused - before.reused,
-            plan.tape().segments() as u64,
+            segments as u64,
             "one reservation per segment"
         );
     }

@@ -1,16 +1,17 @@
-//! Compiled plan tapes: a [`DecodePlan`] lowered to flat instruction
-//! lists, so repairs replay pure region arithmetic instead of walking
-//! the plan's term graph per stripe.
+//! The lowered form of a plan: flat instruction segments, so repairs
+//! replay pure region arithmetic instead of walking a term graph per
+//! stripe. A [`DecodePlan`](crate::DecodePlan) *is* these segments plus
+//! its verify runs.
 //!
-//! Lowering happens once per plan, at plan build ([`DecodePlan::tape`]),
-//! and captures everything a term-by-term interpreter would rediscover
-//! on every decode:
+//! Lowering happens once per plan, at plan build, and captures
+//! everything a term-by-term interpreter would rediscover on every
+//! decode:
 //!
-//! * each phase-A sub-plan and the phase-B `H_rest` program become one
+//! * each independent sub-matrix and the `H_rest` program become one
 //!   [`TapeSegment`]: a `Vec<Instr>` of `{kernel, src, dst, op}` records
-//!   whose kernels are `Arc`-shared [`RegionMul`] tables (the isa-l
-//!   `ec_init_tables` pattern — tables initialized per plan, not per
-//!   region call);
+//!   whose kernels are `Arc`-shared [`RegionMul`] tables from one
+//!   [`KernelMap`] per plan (the isa-l `ec_init_tables` pattern — tables
+//!   initialized per plan, not per region call);
 //! * the segment's scratch layout is precomputed: slot counts are fixed
 //!   at compile time, so execution makes **one** arena reservation per
 //!   segment and slices it;
@@ -24,8 +25,8 @@
 //!   once per term. Overwriting heads let the executor take *unzeroed*
 //!   scratch ([`crate::ScratchArena::take_dirty`]);
 //! * surplus verify rows lower to per-row fused runs into a single
-//!   accumulator slot, and the update path's delta plan is lowered
-//!   analogously by [`crate::UpdatePlan`] into per-column patch lists.
+//!   accumulator slot, and the update path's delta plan resolves its
+//!   kernels through the same [`KernelMap`] ([`crate::UpdatePlan`]).
 //!
 //! The fusion rule never reorders terms across destinations — a run is a
 //! *consecutive* group sharing one `dst`, in program order — and per-byte
@@ -34,17 +35,18 @@
 //! unchanged: the tape holds exactly one instruction per predicted
 //! `mult_XORs`, so executed == predicted holds on every decode.
 //!
-//! In-process lowering and [`WirePlan::compile`](crate::WirePlan::compile)
-//! both finish in [`PlanTape::validated`], which checks the unzeroed-
-//! scratch and slot-bounds invariants in every build profile: a tape
-//! that reaches the executor has passed the same checks whether it was
-//! lowered here or decoded from untrusted bytes.
+//! Plan build, [`DecodePlan::restrict_to`](crate::DecodePlan::restrict_to) and
+//! [`WirePlan::compile`](crate::WirePlan::compile) all end in one
+//! validator ([`check_segment`], [`check_verify_run`]), which checks the
+//! unzeroed-scratch and slot-bounds invariants in every build profile: a
+//! plan that reaches the executor has passed the same checks whether it
+//! was lowered here or decoded from untrusted bytes.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
-use crate::plan::{DecodePlan, Program, RegionCache, Strategy, SubPlan};
-use crate::DecodeError;
-use ppm_gf::{GfWord, RegionMul};
+use crate::plan::Program;
+use ppm_gf::{Backend, GfWord, RegionMul};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Where a tape instruction reads from.
@@ -73,7 +75,7 @@ pub(crate) enum OpCode {
 }
 
 /// One lowered `mult_XORs`: `slot[dst] (^)= kernel · src`.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct Instr<W: GfWord> {
     /// Shared multiply-by-constant kernel (tables built once per plan).
     pub(crate) kernel: Arc<RegionMul<W>>,
@@ -85,7 +87,7 @@ pub(crate) struct Instr<W: GfWord> {
     pub(crate) op: OpCode,
 }
 
-/// One sub-plan (an independent `Hᵢ` or `H_rest`) lowered to a flat
+/// One sub-matrix (an independent `Hᵢ` or `H_rest`) lowered to a flat
 /// instruction run with a precomputed scratch layout.
 ///
 /// Slot layout of the single arena reservation, in sector-sized units:
@@ -95,7 +97,7 @@ pub(crate) struct Instr<W: GfWord> {
 /// intermediate slots reading only stripe sectors; instructions after it
 /// write output slots reading sectors or intermediates — so the executor
 /// can split the reservation once and never alias a live borrow.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub(crate) struct TapeSegment<W: GfWord> {
     /// Instructions in execution order.
     pub(crate) instrs: Vec<Instr<W>>,
@@ -117,6 +119,93 @@ impl<W: GfWord> TapeSegment<W> {
     pub(crate) fn total_slots(&self) -> usize {
         self.scratch_slots + self.outputs.len()
     }
+
+    /// The stripe sectors this segment recovers.
+    pub(crate) fn output_sectors(&self) -> impl Iterator<Item = usize> + '_ {
+        self.outputs.iter().map(|&(_, sector)| sector)
+    }
+
+    /// Every stripe sector the segment reads.
+    pub(crate) fn sector_sources(&self) -> impl Iterator<Item = usize> + '_ {
+        self.instrs.iter().filter_map(|i| match i.src {
+            Loc::Sector(s) => Some(s),
+            Loc::Slot(_) => None,
+        })
+    }
+
+    /// The segment reduced to the outputs whose sector satisfies `keep`,
+    /// or `None` when it keeps none: instructions for dropped outputs
+    /// and for `T` slots no kept output reads are removed, and the live
+    /// slots are renumbered in their original order. That is exactly the
+    /// layout lowering the pruned term program would produce, and the
+    /// kernels stay `Arc`-shared with this segment.
+    pub(crate) fn pruned(&self, keep: impl Fn(usize) -> bool) -> Option<TapeSegment<W>> {
+        let kept: Vec<(usize, usize)> = self
+            .outputs
+            .iter()
+            .copied()
+            .filter(|&(_, sector)| keep(sector))
+            .collect();
+        if kept.is_empty() {
+            return None;
+        }
+        let mut live = vec![false; self.total_slots()];
+        for &(slot, _) in &kept {
+            if let Some(l) = live.get_mut(slot) {
+                *l = true;
+            }
+        }
+        let output_section = self.instrs.get(self.scratch_boundary..).unwrap_or_default();
+        for instr in output_section {
+            if let (Some(true), Loc::Slot(e)) = (live.get(instr.dst).copied(), instr.src) {
+                if let Some(l) = live.get_mut(e) {
+                    *l = true;
+                }
+            }
+        }
+        let mut slot_map = vec![None; live.len()];
+        let mut next = 0;
+        for (new, &l) in slot_map.iter_mut().zip(&live) {
+            if l {
+                *new = Some(next);
+                next += 1;
+            }
+        }
+        let scratch_slots = live.iter().take(self.scratch_slots).filter(|&&l| l).count();
+        let map = |old: usize| slot_map.get(old).copied().flatten();
+
+        let mut instrs = Vec::new();
+        let mut scratch_boundary = 0;
+        for (i, instr) in self.instrs.iter().enumerate() {
+            let Some(dst) = map(instr.dst) else { continue };
+            if i < self.scratch_boundary {
+                scratch_boundary += 1;
+            }
+            // A kept instruction reads only live slots; an unmapped one
+            // becomes out of range, which validation rejects.
+            let src = match instr.src {
+                Loc::Slot(e) => Loc::Slot(map(e).unwrap_or(usize::MAX)),
+                sector => sector,
+            };
+            instrs.push(Instr {
+                kernel: Arc::clone(&instr.kernel),
+                src,
+                dst,
+                op: instr.op,
+            });
+        }
+        Some(TapeSegment {
+            instrs,
+            scratch_boundary,
+            scratch_slots,
+            outputs: kept
+                .iter()
+                .enumerate()
+                .map(|(i, &(_, sector))| (scratch_slots + i, sector))
+                .collect(),
+            zero_slots: self.zero_slots.iter().filter_map(|&s| map(s)).collect(),
+        })
+    }
 }
 
 /// One surplus parity-check row lowered to a fused run accumulating the
@@ -129,245 +218,36 @@ pub(crate) struct VerifyRun<W: GfWord> {
     pub(crate) instrs: Vec<Instr<W>>,
 }
 
-/// A decode plan compiled to linear instruction tapes — the one
-/// executable form of a plan, whether it was lowered in-process from a
-/// [`DecodePlan`] ([`DecodePlan::tape`]) or received over the wire
-/// ([`WirePlan::compile`](crate::WirePlan::compile)).
+/// One checked [`RegionMul`] per distinct constant, `Arc`-shared by
+/// every instruction that uses it — the one kernel builder of plan
+/// lowering, wire compilation and small-write plans.
 ///
-/// Both constructors end in the same validator, so every tape the
-/// [`Executor`](crate::Executor) runs has passed the checks its
-/// unzeroed-scratch fast path relies on. Compilation preserves the
-/// §III-B cost model exactly: one instruction per predicted `mult_XORs`.
-#[derive(Debug)]
-pub struct PlanTape<W: GfWord> {
-    /// One segment per independent sub-matrix (parallel in phase A).
-    pub(crate) phase_a: Vec<TapeSegment<W>>,
-    /// The `H_rest` segment, run after phase-A outputs install.
-    pub(crate) phase_b: Option<TapeSegment<W>>,
-    /// Surplus verify rows (empty for restricted plans).
-    pub(crate) verify: Vec<VerifyRun<W>>,
-    faulty: Vec<usize>,
-    total_sectors: usize,
-    strategy: Strategy,
-    mult_xors: usize,
-    verify_mult_xors: usize,
-    rest_splittable: bool,
+/// Checked construction: each multiplier probes its dispatched kernel
+/// against the scalar reference once (at build, not per region op) and
+/// demotes itself to scalar on a mismatch, so a faulty SIMD unit
+/// degrades throughput instead of bytes.
+pub(crate) struct KernelMap<W: GfWord> {
+    map: HashMap<u64, Arc<RegionMul<W>>>,
+    backend: Backend,
 }
 
-impl<W: GfWord> PlanTape<W> {
-    /// The empty tape: no segments, no verify rows, no sectors — the
-    /// placeholder a plan holds until it is compiled.
-    pub(crate) fn empty() -> Self {
-        PlanTape {
-            phase_a: Vec::new(),
-            phase_b: None,
-            verify: Vec::new(),
-            faulty: Vec::new(),
-            total_sectors: 0,
-            strategy: Strategy::PpmAuto,
-            mult_xors: 0,
-            verify_mult_xors: 0,
-            rest_splittable: false,
+impl<W: GfWord> KernelMap<W> {
+    /// An empty map building kernels for `backend`.
+    pub(crate) fn new(backend: Backend) -> Self {
+        KernelMap {
+            map: HashMap::new(),
+            backend,
         }
     }
 
-    /// Lowers `plan` and validates the result. A lowering that breaks an
-    /// execution invariant, or changes the plan's predicted cost, is a
-    /// [`RepairError::MalformedTape`](crate::RepairError::MalformedTape)
-    /// from plan build rather than a panic on the data path.
-    pub(crate) fn compile(plan: &DecodePlan<W>) -> Result<Self, DecodeError> {
-        let phase_a = plan
-            .phase_a
-            .iter()
-            .map(|sp| lower_subplan(sp, &plan.regions))
-            .collect();
-        let phase_b = plan
-            .phase_b
-            .as_ref()
-            .map(|sp| lower_subplan(sp, &plan.regions));
-        let verify = plan
-            .surplus
-            .as_deref()
-            .unwrap_or_default()
-            .iter()
-            .map(|(row, terms)| {
-                let mut instrs = Vec::with_capacity(terms.len());
-                emit_run(
-                    &mut instrs,
-                    0,
-                    terms.iter().map(|&(c, s)| (c, Loc::Sector(s))),
-                    &plan.regions,
-                );
-                VerifyRun { row: *row, instrs }
-            })
-            .collect();
-        let tape = PlanTape::validated(
-            phase_a,
-            phase_b,
-            verify,
-            plan.faulty().to_vec(),
-            plan.total_sectors(),
-            plan.strategy(),
+    /// The shared kernel for `c`, built on first use.
+    pub(crate) fn get(&mut self, c: W) -> Arc<RegionMul<W>> {
+        let backend = self.backend;
+        Arc::clone(
+            self.map
+                .entry(c.to_u64())
+                .or_insert_with(|| Arc::new(RegionMul::new_checked(c, backend))),
         )
-        .map_err(DecodeError::MalformedTape)?;
-        if tape.mult_xors != plan.mult_xors() {
-            return Err(DecodeError::MalformedTape(
-                "lowering changed the predicted mult_XORs",
-            ));
-        }
-        Ok(tape)
-    }
-
-    /// Assembles a tape from its parts after checking every invariant
-    /// the executor relies on: per-segment slot bounds, run-head
-    /// discipline and full slot coverage ([`check_segment`]), verify-run
-    /// shape ([`check_verify_run`]), and that the outputs recover each
-    /// declared faulty sector at most once. The one validator behind
-    /// both in-process lowering and [`WirePlan::compile`](crate::WirePlan::compile).
-    pub(crate) fn validated(
-        phase_a: Vec<TapeSegment<W>>,
-        phase_b: Option<TapeSegment<W>>,
-        verify: Vec<VerifyRun<W>>,
-        faulty: Vec<usize>,
-        total_sectors: usize,
-        strategy: Strategy,
-    ) -> Result<Self, &'static str> {
-        if faulty.windows(2).any(|w| w.first() >= w.get(1)) {
-            return Err("faulty set not sorted and unique");
-        }
-        if faulty.iter().any(|&s| s >= total_sectors) {
-            return Err("faulty sector out of range");
-        }
-        for seg in phase_a.iter().chain(&phase_b) {
-            check_segment(seg, total_sectors)?;
-        }
-        for run in &verify {
-            check_verify_run(run, total_sectors)?;
-        }
-        // Every output sector must be one of the declared faulty
-        // sectors, and no sector may be produced twice.
-        let mut produced: Vec<usize> = phase_a
-            .iter()
-            .chain(&phase_b)
-            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
-            .collect();
-        produced.sort_unstable();
-        if produced.windows(2).any(|w| w.first() == w.get(1)) {
-            return Err("sector produced by two segments");
-        }
-        if produced.iter().any(|s| faulty.binary_search(s).is_err()) {
-            return Err("output sector not in faulty set");
-        }
-
-        let mult_xors = phase_a.iter().map(|s| s.instrs.len()).sum::<usize>()
-            + phase_b.as_ref().map_or(0, |s| s.instrs.len());
-        let verify_mult_xors = verify.iter().map(|r| r.instrs.len()).sum();
-        let rest_splittable = phase_b.as_ref().is_some_and(|seg| {
-            seg.instrs
-                .get(seg.scratch_boundary..)
-                .is_some_and(|outs| outs.iter().all(|i| matches!(i.src, Loc::Slot(_))))
-        });
-        Ok(PlanTape {
-            phase_a,
-            phase_b,
-            verify,
-            faulty,
-            total_sectors,
-            strategy,
-            mult_xors,
-            verify_mult_xors,
-            rest_splittable,
-        })
-    }
-
-    /// Total decode instructions — equal to the plan's predicted
-    /// `mult_XORs`, since every instruction is exactly one region op.
-    pub fn mult_xors(&self) -> usize {
-        self.mult_xors
-    }
-
-    /// Total verify-section instructions — equal to the plan's
-    /// [`DecodePlan::verify_mult_xors`].
-    pub fn verify_mult_xors(&self) -> usize {
-        self.verify_mult_xors
-    }
-
-    /// The faulty sectors the tape recovers, ascending.
-    pub fn faulty(&self) -> &[usize] {
-        &self.faulty
-    }
-
-    /// Sectors in the stripe geometry the tape expects.
-    pub fn total_sectors(&self) -> usize {
-        self.total_sectors
-    }
-
-    /// The strategy the plan was built with.
-    pub fn strategy(&self) -> Strategy {
-        self.strategy
-    }
-
-    /// Phase-A parallelism (independent sub-matrix segments).
-    pub fn parallelism(&self) -> usize {
-        self.phase_a.len()
-    }
-
-    /// Whether the tape carries an `H_rest` phase-B segment.
-    pub fn has_phase_b(&self) -> bool {
-        self.phase_b.is_some()
-    }
-
-    /// Surplus verify rows carried by the tape.
-    pub fn verify_rows(&self) -> usize {
-        self.verify.len()
-    }
-
-    /// Number of decode segments (phase-A parallelism plus `H_rest`).
-    pub fn segments(&self) -> usize {
-        self.phase_a.len() + usize::from(self.phase_b.is_some())
-    }
-
-    /// Number of fused continuations — instructions folded into a
-    /// preceding run instead of streaming the destination again.
-    pub fn fused_continuations(&self) -> usize {
-        self.phase_a
-            .iter()
-            .flat_map(|s| &s.instrs)
-            .chain(self.phase_b.iter().flat_map(|s| &s.instrs))
-            .filter(|i| i.op == OpCode::MulXorFusedCont)
-            .count()
-    }
-
-    /// Whether phase B splits across nodes: true when every output-
-    /// section instruction of `H_rest` reads intermediate `T` slots only
-    /// (the Normal sequence), so a survivor host can compute the
-    /// partial-sum `T` blocks from its local sectors and ship *those* —
-    /// `z_b` blocks — instead of whole surviving sectors, and the
-    /// aggregator finishes `F⁻¹ · T` without ever seeing the stripe.
-    /// False for a matrix-first `H_rest`, which reads sectors directly.
-    pub fn rest_splittable(&self) -> bool {
-        self.rest_splittable
-    }
-
-    /// Number of partial-sum (`T`) blocks a split phase B ships — the
-    /// scratch slots of the `H_rest` segment (0 without a phase B).
-    pub fn rest_scratch_slots(&self) -> usize {
-        self.phase_b.as_ref().map_or(0, |seg| seg.scratch_slots)
-    }
-
-    /// The sectors phase B recovers (empty without a phase B).
-    pub fn rest_outputs(&self) -> Vec<usize> {
-        self.phase_b.as_ref().map_or_else(Vec::new, |seg| {
-            seg.outputs.iter().map(|&(_, sector)| sector).collect()
-        })
-    }
-
-    /// The sectors phase A recovers, across all independent segments.
-    pub fn phase_a_outputs(&self) -> Vec<usize> {
-        self.phase_a
-            .iter()
-            .flat_map(|seg| seg.outputs.iter().map(|&(_, sector)| sector))
-            .collect()
     }
 }
 
@@ -376,7 +256,7 @@ impl<W: GfWord> PlanTape<W> {
 /// bounds, source ranges, run-head-before-continuation discipline, every
 /// slot written by exactly one run head or listed for zeroing, and the
 /// canonical output layout (output `i` in slot `scratch_slots + i`).
-fn check_segment<W: GfWord>(
+pub(crate) fn check_segment<W: GfWord>(
     seg: &TapeSegment<W>,
     total_sectors: usize,
 ) -> Result<(), &'static str> {
@@ -457,7 +337,7 @@ fn check_segment<W: GfWord>(
 
 /// Checks one verify run: a single fused run into slot 0 — head first,
 /// continuations after — reading in-range stripe sectors only.
-fn check_verify_run<W: GfWord>(
+pub(crate) fn check_verify_run<W: GfWord>(
     run: &VerifyRun<W>,
     total_sectors: usize,
 ) -> Result<(), &'static str> {
@@ -486,17 +366,17 @@ fn check_verify_run<W: GfWord>(
 /// interleaved. Returns whether anything was emitted — an empty term
 /// list produces no run, and the caller must record the destination as
 /// a zero slot.
-fn emit_run<W: GfWord>(
+pub(crate) fn emit_run<W: GfWord>(
     instrs: &mut Vec<Instr<W>>,
     dst: usize,
     terms: impl Iterator<Item = (W, Loc)>,
-    regions: &RegionCache<W>,
+    kernels: &mut KernelMap<W>,
 ) -> bool {
     let mut emitted = false;
     for (i, (c, src)) in terms.enumerate() {
         emitted = true;
         instrs.push(Instr {
-            kernel: regions.get_arc(c),
+            kernel: kernels.get(c),
             src,
             dst,
             op: if i == 0 {
@@ -509,13 +389,13 @@ fn emit_run<W: GfWord>(
     emitted
 }
 
-/// Lowers one sub-plan to a [`TapeSegment`].
-pub(crate) fn lower_subplan<W: GfWord>(
-    sp: &SubPlan<W>,
-    regions: &RegionCache<W>,
+/// Lowers one sub-matrix's term program to a [`TapeSegment`].
+pub(crate) fn lower_program<W: GfWord>(
+    program: &Program<W>,
+    kernels: &mut KernelMap<W>,
 ) -> TapeSegment<W> {
     let mut instrs = Vec::new();
-    match &sp.program {
+    match program {
         Program::MatrixFirst { outputs } => {
             let mut outs = Vec::with_capacity(outputs.len());
             let mut zero_slots = Vec::new();
@@ -524,7 +404,7 @@ pub(crate) fn lower_subplan<W: GfWord>(
                     &mut instrs,
                     slot,
                     terms.iter().map(|&(c, s)| (c, Loc::Sector(s))),
-                    regions,
+                    kernels,
                 ) {
                     zero_slots.push(slot);
                 }
@@ -546,7 +426,7 @@ pub(crate) fn lower_subplan<W: GfWord>(
                     &mut instrs,
                     slot,
                     terms.iter().map(|&(c, s)| (c, Loc::Sector(s))),
-                    regions,
+                    kernels,
                 ) {
                     zero_slots.push(slot);
                 }
@@ -559,7 +439,7 @@ pub(crate) fn lower_subplan<W: GfWord>(
                     &mut instrs,
                     slot,
                     terms.iter().map(|&(c, e)| (c, Loc::Slot(e))),
-                    regions,
+                    kernels,
                 ) {
                     zero_slots.push(slot);
                 }
@@ -580,50 +460,53 @@ pub(crate) fn lower_subplan<W: GfWord>(
 #[allow(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 mod tests {
     use super::*;
+    use crate::plan::{DecodePlan, Strategy};
     use ppm_codes::{ErasureCode, FailureScenario, SdCode};
-    use ppm_gf::Backend;
     use proptest::prelude::*;
 
-    fn paper_plan() -> DecodePlan<u8> {
+    fn sd_plan(faulty: Vec<usize>) -> DecodePlan<u8> {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();
         let h = code.parity_check_matrix();
-        let sc = FailureScenario::new(vec![2, 6, 10, 13, 14]);
-        DecodePlan::build(
-            &h,
-            &sc,
-            crate::plan::Strategy::PpmNormalRest,
-            Backend::Scalar,
-        )
-        .unwrap()
+        let sc = FailureScenario::new(faulty);
+        DecodePlan::build(&h, &sc, Strategy::PpmNormalRest, Backend::Scalar).unwrap()
+    }
+
+    fn paper_plan() -> DecodePlan<u8> {
+        sd_plan(vec![2, 6, 10, 13, 14])
     }
 
     #[test]
     fn compile_preserves_cost_and_structure() {
         let plan = paper_plan();
-        let tape = plan.tape();
-        assert_eq!(tape.mult_xors(), plan.mult_xors());
-        assert_eq!(tape.mult_xors(), 29);
-        assert_eq!(tape.verify_mult_xors(), plan.verify_mult_xors());
-        assert_eq!(tape.phase_a.len(), plan.parallelism());
-        assert_eq!(tape.phase_b.is_some(), plan.has_phase_b());
-        assert_eq!(tape.verify.len(), plan.verify_rows());
-        assert_eq!(tape.faulty(), plan.faulty());
-        assert_eq!(tape.total_sectors(), plan.total_sectors());
-        assert!(tape.rest_splittable(), "Normal H_rest splits");
+        let instrs: usize = plan
+            .phase_a
+            .iter()
+            .chain(&plan.phase_b)
+            .map(|s| s.instrs.len())
+            .sum();
+        assert_eq!(instrs, plan.mult_xors());
+        assert_eq!(plan.mult_xors(), 29);
+        assert_eq!(plan.independent_costs(), vec![3, 3, 3]);
+        assert_eq!(plan.rest_cost(), 20);
+        assert_eq!(plan.parallelism(), 3);
+        assert!(plan.has_phase_b());
+        // The worst case consumes every row of H: nothing is left over.
+        assert_eq!(plan.verify.as_ref().map(Vec::len), Some(0));
+        assert!(plan.rest_splittable(), "Normal H_rest splits");
     }
 
-    /// In-process lowering goes through the same validator as wire
-    /// plans: a lowered segment that breaks the run-head discipline or
-    /// leaves a slot uncovered is a typed error, in every build profile.
+    /// Every constructor goes through the one validator: a segment that
+    /// breaks the run-head discipline or leaves a slot uncovered is a
+    /// typed error, in every build profile.
     #[test]
     fn lowered_segments_pass_the_shared_validator() {
         let plan = paper_plan();
-        let lower = |i: usize| lower_subplan(&plan.phase_a[i], &plan.regions);
+        let lower = |i: usize| plan.phase_a[i].clone();
         let validate = |seg: TapeSegment<u8>| {
-            PlanTape::validated(
+            DecodePlan::validated(
                 vec![seg],
                 None,
-                Vec::new(),
+                None,
                 plan.faulty().to_vec(),
                 plan.total_sectors(),
                 plan.strategy(),
@@ -648,29 +531,45 @@ mod tests {
         assert_eq!(validate(out_of_range), Err("source sector out of range"));
     }
 
+    /// One kernel per distinct constant, plan-wide: every instruction of
+    /// every segment and every verify run using a constant holds the
+    /// same `Arc`.
     #[test]
     fn kernels_are_shared_with_the_plan() {
-        let plan = paper_plan();
-        let tape = plan.tape();
-        for instr in tape
+        // b2, b13 and b14 lost: b2 is independent, b13/b14 form H_rest,
+        // and two row equations are left over for verification.
+        let plan = sd_plan(vec![2, 13, 14]);
+        assert!(plan.parallelism() >= 1 && plan.has_phase_b());
+        assert!(plan.verify_rows() > 0);
+        let mut canon: HashMap<u8, &Arc<RegionMul<u8>>> = HashMap::new();
+        let mut instrs = 0;
+        for instr in plan
             .phase_a
             .iter()
+            .chain(&plan.phase_b)
             .flat_map(|s| &s.instrs)
-            .chain(tape.phase_b.iter().flat_map(|s| &s.instrs))
+            .chain(plan.verify.iter().flatten().flat_map(|r| &r.instrs))
         {
-            let owned = plan.regions.get_arc(instr.kernel.constant());
+            instrs += 1;
+            let first = canon
+                .entry(instr.kernel.constant())
+                .or_insert(&instr.kernel);
             assert!(
-                Arc::ptr_eq(&instr.kernel, &owned),
-                "instruction kernel must share the plan's table"
+                Arc::ptr_eq(first, &instr.kernel),
+                "constant {:#x} has two kernels",
+                instr.kernel.constant()
             );
         }
+        assert!(
+            canon.len() > 1 && instrs > canon.len(),
+            "kernels are reused"
+        );
     }
 
     #[test]
     fn segment_layout_separates_scratch_from_outputs() {
         let plan = paper_plan();
-        let tape = plan.tape();
-        for seg in tape.phase_a.iter().chain(&tape.phase_b) {
+        for seg in plan.phase_a.iter().chain(&plan.phase_b) {
             for (i, instr) in seg.instrs.iter().enumerate() {
                 if i < seg.scratch_boundary {
                     assert!(instr.dst < seg.scratch_slots);
@@ -728,49 +627,44 @@ mod tests {
             f_terms in term_lists(4),
         ) {
             let scratch = t_terms.len();
+            // f-term scratch indices must point at real T slots; an
+            // empty t_terms forces empty f-term lists.
+            let f_terms: Vec<(usize, Vec<(u8, usize)>)> = f_terms
+                .iter()
+                .enumerate()
+                .map(|(i, terms)| {
+                    let terms = if scratch == 0 {
+                        Vec::new()
+                    } else {
+                        terms.iter().map(|&(c, e)| (c, e % scratch)).collect()
+                    };
+                    (100 + i, terms)
+                })
+                .collect();
             let program = Program::Normal {
                 t_terms: t_terms.clone(),
-                // f-term scratch indices must point at real T slots; an
-                // empty t_terms forces empty f-term lists.
-                f_terms: f_terms
-                    .iter()
-                    .enumerate()
-                    .map(|(i, terms)| {
-                        let terms = if scratch == 0 {
-                            Vec::new()
-                        } else {
-                            terms.iter().map(|&(c, e)| (c, e % scratch)).collect()
-                        };
-                        (100 + i, terms)
-                    })
-                    .collect(),
+                f_terms: f_terms.clone(),
             };
-            let regions = RegionCache::build(
-                program_coeffs(&program).into_iter(),
-                Backend::Scalar,
-            );
-            let seg = lower_subplan(&SubPlan { program: program.clone() }, &regions);
+            let seg = lower_program(&program, &mut KernelMap::new(Backend::Scalar));
 
             let got = runs(&seg.instrs);
             // Expected runs: every destination with at least one term, in
             // program order (T slots first, then outputs).
             let mut expect: Vec<(usize, Vec<(u8, Loc)>)> = Vec::new();
-            if let Program::Normal { t_terms, f_terms } = &program {
-                for (slot, terms) in t_terms.iter().enumerate() {
-                    if !terms.is_empty() {
-                        expect.push((
-                            slot,
-                            terms.iter().map(|&(c, s)| (c, Loc::Sector(s))).collect(),
-                        ));
-                    }
+            for (slot, terms) in t_terms.iter().enumerate() {
+                if !terms.is_empty() {
+                    expect.push((
+                        slot,
+                        terms.iter().map(|&(c, s)| (c, Loc::Sector(s))).collect(),
+                    ));
                 }
-                for (i, (_, terms)) in f_terms.iter().enumerate() {
-                    if !terms.is_empty() {
-                        expect.push((
-                            scratch + i,
-                            terms.iter().map(|&(c, e)| (c, Loc::Slot(e))).collect(),
-                        ));
-                    }
+            }
+            for (i, (_, terms)) in f_terms.iter().enumerate() {
+                if !terms.is_empty() {
+                    expect.push((
+                        scratch + i,
+                        terms.iter().map(|&(c, e)| (c, Loc::Slot(e))).collect(),
+                    ));
                 }
             }
             prop_assert_eq!(got, expect);
@@ -780,22 +674,6 @@ mod tests {
             for (dst, _) in runs(&seg.instrs) {
                 prop_assert!(seen.insert(dst), "destination {} split across runs", dst);
             }
-        }
-    }
-
-    /// All coefficients of a program, for building a region cache.
-    fn program_coeffs(program: &Program<u8>) -> Vec<u8> {
-        match program {
-            Program::MatrixFirst { outputs } => outputs
-                .iter()
-                .flat_map(|(_, t)| t.iter().map(|&(c, _)| c))
-                .collect(),
-            Program::Normal { t_terms, f_terms } => t_terms
-                .iter()
-                .flatten()
-                .map(|&(c, _)| c)
-                .chain(f_terms.iter().flat_map(|(_, t)| t.iter().map(|&(c, _)| c)))
-                .collect(),
         }
     }
 }

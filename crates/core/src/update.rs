@@ -15,12 +15,12 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
+use crate::tape::KernelMap;
 use crate::RepairError;
 use ppm_codes::ErasureCode;
 use ppm_gf::{Backend, GfWord, RegionMul, RegionStats};
 use ppm_matrix::Matrix;
 use ppm_stripe::Stripe;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// A precomputed small-write planner for one code instance.
@@ -63,8 +63,10 @@ pub struct UpdatePlan<W: GfWord> {
 }
 
 impl<W: GfWord> UpdatePlan<W> {
-    /// Builds the planner for `code`, preparing region tables on
-    /// `backend`.
+    /// Builds the planner for `code`, preparing region kernels on
+    /// `backend` through the same checked constructor decode plans use
+    /// ([`RegionMul::new_checked`]), so a miscomputing SIMD unit demotes
+    /// to scalar here too instead of patching wrong parity.
     ///
     /// Fails with [`RepairError::Unrecoverable`] if the code cannot
     /// encode (its parity columns are singular) — the same condition
@@ -85,32 +87,19 @@ impl<W: GfWord> UpdatePlan<W> {
         for (j, &d) in data.iter().enumerate() {
             data_index[d] = Some(j);
         }
-        let mut regions: HashMap<u64, Arc<RegionMul<W>>> = HashMap::new();
-        for q in 0..gen.rows() {
-            for &c in gen.row(q) {
-                if c != W::ZERO {
-                    regions
-                        .entry(c.to_u64())
-                        .or_insert_with(|| Arc::new(RegionMul::new(c, backend)));
-                }
-            }
-        }
-        let mut patches = Vec::with_capacity(gen.cols());
-        for j in 0..gen.cols() {
-            let mut list = Vec::new();
-            for (q, &p) in parity.iter().enumerate() {
-                let c = gen.get(q, j);
-                if c == W::ZERO {
-                    continue;
-                }
-                let kernel = regions.get(&c.to_u64()).ok_or(RepairError::Unrecoverable {
-                    needed: parity.len(),
-                    rank: 0,
-                })?;
-                list.push((p, Arc::clone(kernel)));
-            }
-            patches.push(list);
-        }
+        let mut kernels = KernelMap::new(backend);
+        let patches = (0..gen.cols())
+            .map(|j| {
+                parity
+                    .iter()
+                    .enumerate()
+                    .filter_map(|(q, &p)| {
+                        let c = gen.get(q, j);
+                        (c != W::ZERO).then(|| (p, kernels.get(c)))
+                    })
+                    .collect()
+            })
+            .collect();
         Ok(UpdatePlan {
             total_sectors: h.cols(),
             parity,
@@ -271,6 +260,7 @@ mod tests {
     use ppm_stripe::random_data_stripe;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashMap;
 
     fn executor() -> Executor {
         Executor::new(DecoderConfig {

@@ -1,10 +1,10 @@
 //! Serializable decode plans: *plans travel, data stays put*.
 //!
-//! A [`WirePlan`] is the compact wire encoding of a compiled
-//! [`PlanTape`]: the instruction segments, the per-constant kernel-table
-//! seeds (the GF constants — multiplication tables are rebuilt on the
-//! receiving side, never shipped), the precomputed scratch layout, and
-//! the surplus verify rows. It is what a
+//! A [`WirePlan`] is the compact wire encoding of a [`DecodePlan`]:
+//! the instruction segments, the per-constant kernel-table seeds (the
+//! GF constants — multiplication tables are rebuilt on the receiving
+//! side, never shipped), the precomputed scratch layout, and the surplus
+//! verify rows. It is what a
 //! cluster coordinator sends to a worker so the worker can execute a
 //! repair against locally held sectors without ever learning the code's
 //! parity-check matrix or running a factorization.
@@ -13,24 +13,23 @@
 //! `"PPMW"` magic and a format version — no serialization framework, so
 //! the encoding is stable by construction and auditable byte for byte.
 //! Decoding is *structural* (tags, counts, truncation); turning a decoded
-//! plan into something executable goes through [`WirePlan::compile`],
-//! which ends in the same validator as in-process tape lowering (slot
+//! plan back into a [`DecodePlan`] goes through [`WirePlan::compile`],
+//! which ends in the same validator as in-process plan build (slot
 //! bounds, run-head discipline, full slot coverage) — the executor's
 //! unzeroed-scratch fast path is only sound against checked input, and
 //! wire input is untrusted.
 //!
-//! Compilation rebuilds one [`RegionMul`] kernel per distinct constant
-//! (the isa-l `ec_init_tables` pattern, now applied across the network:
-//! ship the seed, rebuild the table), shared across all instructions of
-//! the plan via `Arc` exactly like an in-process tape.
+//! Compilation rebuilds one checked [`RegionMul`](ppm_gf::RegionMul)
+//! kernel per distinct constant (the isa-l `ec_init_tables` pattern, now
+//! applied across the network: ship the seed, rebuild the table), shared
+//! across all instructions of the plan via `Arc` exactly like an
+//! in-process build.
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::indexing_slicing)]
 
 use crate::plan::{DecodePlan, Strategy};
-use crate::tape::{Instr, Loc, OpCode, PlanTape, TapeSegment, VerifyRun};
-use ppm_gf::{Backend, GfWord, RegionMul};
-use std::collections::HashMap;
-use std::sync::Arc;
+use crate::tape::{Instr, KernelMap, Loc, OpCode, TapeSegment, VerifyRun};
+use ppm_gf::{Backend, GfWord};
 
 /// Wire format version (bumped on any layout change).
 pub const WIRE_VERSION: u16 = 1;
@@ -193,19 +192,20 @@ fn wire_segment<W: GfWord>(seg: &TapeSegment<W>) -> WireSegment {
 }
 
 impl WirePlan {
-    /// Captures `plan`'s compiled tape as a wire plan.
+    /// Captures `plan`'s instruction segments and verify runs as a wire
+    /// plan.
     pub fn from_plan<W: GfWord>(plan: &DecodePlan<W>) -> WirePlan {
-        let tape = plan.tape();
         WirePlan {
             gf_width: W::WIDTH,
             total_sectors: narrow(plan.total_sectors()),
             strategy: plan.strategy(),
             faulty: plan.faulty().iter().map(|&s| narrow(s)).collect(),
-            phase_a: tape.phase_a.iter().map(wire_segment).collect(),
-            phase_b: tape.phase_b.as_ref().map(wire_segment),
-            verify: tape
+            phase_a: plan.phase_a.iter().map(wire_segment).collect(),
+            phase_b: plan.phase_b.as_ref().map(wire_segment),
+            verify: plan
                 .verify
                 .iter()
+                .flatten()
                 .map(|run| WireVerifyRun {
                     row: narrow(run.row),
                     instrs: run.instrs.iter().map(wire_instr).collect(),
@@ -326,21 +326,21 @@ impl WirePlan {
         })
     }
 
-    /// Compiles the plan into an executable [`PlanTape`] for word type
-    /// `W`: rebuilds one shared [`RegionMul`] kernel per distinct
-    /// constant (checked construction — the scalar self-probe runs on
-    /// the receiving host's hardware), then runs the same validator
-    /// in-process lowering uses, so every invariant the executor's
-    /// unzeroed-scratch fast path relies on is re-checked against the
-    /// untrusted bytes.
-    pub fn compile<W: GfWord>(&self, backend: Backend) -> Result<PlanTape<W>, WireError> {
+    /// Compiles the plan into an executable [`DecodePlan`] for word type
+    /// `W`: rebuilds one shared kernel per distinct constant (checked
+    /// construction — the scalar self-probe runs on the receiving host's
+    /// hardware), then runs the same validator plan build uses, so every
+    /// invariant the executor's unzeroed-scratch fast path relies on is
+    /// re-checked against the untrusted bytes. The compiled plan carries
+    /// the shipped verify rows (possibly none) and no cost report.
+    pub fn compile<W: GfWord>(&self, backend: Backend) -> Result<DecodePlan<W>, WireError> {
         if self.gf_width != W::WIDTH {
             return Err(WireError::WidthMismatch {
                 plan: self.gf_width,
                 word: W::WIDTH,
             });
         }
-        let mut kernels: KernelCache<W> = KernelCache::new(backend);
+        let mut kernels = KernelMap::new(backend);
         let phase_a = self
             .phase_a
             .iter()
@@ -361,10 +361,10 @@ impl WirePlan {
                 })
             })
             .collect::<Result<_, WireError>>()?;
-        PlanTape::validated(
+        DecodePlan::validated(
             phase_a,
             phase_b,
-            verify,
+            Some(verify),
             self.faulty(),
             self.total_sectors(),
             self.strategy,
@@ -373,44 +373,21 @@ impl WirePlan {
     }
 }
 
-/// Deduplicating kernel builder: one checked [`RegionMul`] per distinct
-/// constant, shared by every instruction that uses it.
-struct KernelCache<W: GfWord> {
-    map: HashMap<u64, Arc<RegionMul<W>>>,
-    backend: Backend,
-}
-
-impl<W: GfWord> KernelCache<W> {
-    fn new(backend: Backend) -> Self {
-        KernelCache {
-            map: HashMap::new(),
-            backend,
-        }
-    }
-
-    fn get(&mut self, constant: u64) -> Result<Arc<RegionMul<W>>, WireError> {
-        if W::WIDTH < 64 && (constant >> W::WIDTH) != 0 {
-            return Err(WireError::Malformed("constant exceeds field width"));
-        }
-        let backend = self.backend;
-        Ok(Arc::clone(self.map.entry(constant).or_insert_with(|| {
-            Arc::new(RegionMul::new_checked(W::from_u64(constant), backend))
-        })))
-    }
-}
-
 /// Turns a wire instruction list into tape instructions with rebuilt
 /// kernels. Structural only: bounds and run discipline are checked by
-/// [`PlanTape::validated`].
+/// [`DecodePlan::validated`].
 fn compile_instrs<W: GfWord>(
     instrs: &[WireInstr],
-    kernels: &mut KernelCache<W>,
+    kernels: &mut KernelMap<W>,
 ) -> Result<Vec<Instr<W>>, WireError> {
     instrs
         .iter()
         .map(|instr| {
+            if W::WIDTH < 64 && (instr.constant >> W::WIDTH) != 0 {
+                return Err(WireError::Malformed("constant exceeds field width"));
+            }
             Ok(Instr {
-                kernel: kernels.get(instr.constant)?,
+                kernel: kernels.get(W::from_u64(instr.constant)),
                 src: match instr.src {
                     WireLoc::Sector(s) => Loc::Sector(s as usize),
                     WireLoc::Slot(e) => Loc::Slot(e as usize),
@@ -430,7 +407,7 @@ fn compile_instrs<W: GfWord>(
 /// with the whole tape).
 fn compile_segment<W: GfWord>(
     seg: &WireSegment,
-    kernels: &mut KernelCache<W>,
+    kernels: &mut KernelMap<W>,
 ) -> Result<TapeSegment<W>, WireError> {
     Ok(TapeSegment {
         instrs: compile_instrs(&seg.instrs, kernels)?,
@@ -632,6 +609,9 @@ fn read_segment(r: &mut Reader<'_>) -> Result<WireSegment, WireError> {
 mod tests {
     use super::*;
     use ppm_codes::{ErasureCode, FailureScenario, SdCode};
+    use ppm_gf::RegionMul;
+    use std::collections::HashMap;
+    use std::sync::Arc;
 
     fn paper_plan(strategy: Strategy) -> DecodePlan<u8> {
         let code = SdCode::<u8>::new(4, 4, 1, 1, vec![1, 2]).unwrap();

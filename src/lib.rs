@@ -11,7 +11,8 @@
 //!   correlated row-burst and disk-group (rack) generators,
 //! * [`stripe`] — sector buffers and workload generation,
 //! * [`core`] — the PPM algorithm (log table, partition, cost model
-//!   `C₁..C₄`, compiled plan tapes, bounded-thread parallel decode),
+//!   `C₁..C₄`, plans lowered to validated instruction tapes,
+//!   bounded-thread parallel decode),
 //!   the traditional baseline, and the verified-repair pipeline
 //!   (surplus-row parity checks with erasure escalation),
 //! * [`faults`] — deterministic seeded fault injection for exercising
@@ -79,9 +80,9 @@ pub use ppm_codes::{
 pub use ppm_core::{
     cost, encode, parity_consistent, ArenaStats, BatchReport, CalcSequence, DecodeError,
     DecodePlan, DecoderConfig, ExecStats, Executor, LogTable, ParallelismCase, Partition,
-    PlanCache, PlanCacheStats, PlanKey, PlanTape, Planner, RepairError, RepairService,
-    ScratchArena, Strategy, SubPlanStats, UpdatePlan, UpdateStats, VerifyReport, VerifyStats,
-    WireError, WirePartials, WirePlan,
+    PlanCache, PlanCacheStats, PlanKey, Planner, RepairError, RepairService, ScratchArena,
+    Strategy, SubPlanStats, UpdatePlan, UpdateStats, VerifyReport, VerifyStats, WireError,
+    WirePartials, WirePlan,
 };
 pub use ppm_faults::{BitFlip, FaultInjector};
 pub use ppm_gf::{Backend, GfWord, RegionMul};

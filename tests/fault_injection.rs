@@ -19,8 +19,8 @@
 use ppm::faults::kernel_fallbacks;
 use ppm::stripe::random_data_stripe;
 use ppm::{
-    Backend, DecoderConfig, ErasureCode, FailureScenario, FaultInjector, HitchhikerXor, LrcCode,
-    PmdsCode, ProductCode, RepairError, RepairService, SdCode,
+    parity_consistent, Backend, DecoderConfig, ErasureCode, FailureScenario, FaultInjector,
+    HitchhikerXor, LrcCode, PmdsCode, ProductCode, RepairError, RepairService, SdCode,
 };
 use proptest::prelude::*;
 use rand::{rngs::StdRng, SeedableRng};
@@ -275,6 +275,56 @@ fn forced_simd_miscompute_falls_back_to_scalar_and_still_verifies() {
         assert!(
             kernel_fallbacks() > before,
             "the poisoned SIMD kernel must be demoted at least once"
+        );
+    }
+}
+
+/// Small writes build their kernels through the same checked
+/// constructor as decode plans: under a forced SIMD miscompute the
+/// update plan demotes its kernels to scalar, so the patched parity
+/// stays consistent instead of being silently corrupted.
+#[test]
+fn forced_simd_miscompute_small_writes_fall_back_to_scalar() {
+    let _guard = FAULT_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+    struct Reset;
+    impl Drop for Reset {
+        fn drop(&mut self) {
+            ppm::gf::force_simd_miscompute(false);
+        }
+    }
+    let _reset = Reset;
+
+    let code = LrcCode::<u8>::new(6, 2, 2, 4).unwrap();
+    let svc = RepairService::new(
+        code,
+        DecoderConfig {
+            threads: 1,
+            backend: Backend::Auto,
+        },
+    );
+    let mut rng = StdRng::seed_from_u64(7);
+    let mut stripe = random_data_stripe(svc.code(), 64, &mut rng);
+    svc.encode(&mut stripe).unwrap();
+    let sector = svc.code().data_sectors()[0];
+    let new_data = vec![0x5Cu8; stripe.sector_bytes()];
+
+    let before = kernel_fallbacks();
+    let mut inj = FaultInjector::new(7);
+    inj.force_simd_miscompute(true);
+    let stats = svc.apply_update(&mut stripe, &[(sector, new_data.as_slice())]);
+    inj.force_simd_miscompute(false);
+
+    let stats = stats.unwrap();
+    assert!(stats.matches_prediction(), "update ledger is exact");
+    assert_eq!(stripe.sector(sector), new_data.as_slice());
+    assert!(
+        parity_consistent(&svc.code().parity_check_matrix(), &stripe, Backend::Scalar),
+        "patched parity must survive a miscomputing SIMD unit"
+    );
+    if Backend::Ssse3.is_available() {
+        assert!(
+            kernel_fallbacks() > before,
+            "the update plan's SIMD kernels must be demoted"
         );
     }
 }

@@ -3,9 +3,11 @@
 //! across thread budgets and GF backends, the tape executor must be
 //! bit-identical to the word-level reference in `tests/common` — the
 //! reference solver for decode, a word-level evaluation of the plan's
-//! surplus rows for verification — and the lowered delta-update path
-//! must match a full re-encode, with executed mult_XORs equal to the
-//! planner's prediction throughout. (The `*_tape_matches_graph` test
+//! surplus rows for verification — degraded-read plans pruned by
+//! `restrict_to` must recover their wanted sectors exactly as the
+//! reference does, and the lowered delta-update path must match a full
+//! re-encode, with executed mult_XORs equal to the planner's prediction
+//! throughout. (The `*_tape_matches_graph` test
 //! names date from when the oracle was a per-term graph walker.)
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
@@ -14,8 +16,8 @@
 use ppm::stripe::random_data_stripe;
 use ppm::{
     encode, parity_consistent, Backend, DecodePlan, DecoderConfig, ErasureCode, Executor,
-    FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RepairService, RsCode, SdCode,
-    Strategy, Stripe, UpdatePlan,
+    FailureScenario, HitchhikerXor, LrcCode, PmdsCode, ProductCode, RepairError, RepairService,
+    RsCode, SdCode, Strategy, Stripe, UpdatePlan,
 };
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
@@ -37,7 +39,7 @@ const GRID: &[(usize, Backend)] = &[
     (4, Backend::Auto),
 ];
 
-/// Runs all three differential legs for one `(code, scenario)` pair on
+/// Runs all four differential legs for one `(code, scenario)` pair on
 /// every grid point. Returns whether the verify leg ran (it needs a
 /// plan with surplus parity-check rows).
 fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: u64) -> bool {
@@ -67,6 +69,7 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
         let stats = executor.decode(&plan, &mut via_tape).expect("tape decode");
         assert_eq!(via_tape, by_reference, "tape matches reference ({label})");
         assert!(stats.matches_prediction(), "tape ledger ({label})");
+        restrict_leg(code, scenario, &executor, &pristine, &by_reference, &label);
 
         // Verify leg: the tape verifier flags exactly the surplus rows a
         // word-level evaluation flags — none on the recovered stripe,
@@ -103,6 +106,50 @@ fn differential<C: ErasureCode<u8>>(code: &C, scenario: &FailureScenario, seed: 
         delta_update_leg(code, &pristine, threads, backend, seed, &label);
     }
     verified
+}
+
+/// Restriction leg: under both partitioned rest sequences, the plan
+/// pruned to each single faulty sector — and to the whole faulty set —
+/// recovers exactly the reference's bytes for the wanted sectors, never
+/// costs more than the full plan, stays on its own ledger, and refuses
+/// to verify (it leaves unwanted sectors erased).
+fn restrict_leg<C: ErasureCode<u8>>(
+    code: &C,
+    scenario: &FailureScenario,
+    executor: &Executor,
+    pristine: &Stripe,
+    reference: &Stripe,
+    label: &str,
+) {
+    let h = code.parity_check_matrix();
+    let backend = executor.config().backend;
+    for strategy in [Strategy::PpmNormalRest, Strategy::PpmMatrixFirstRest] {
+        let full = DecodePlan::build(&h, scenario, strategy, backend).expect("plan");
+        let singles = scenario.faulty().iter().map(|&s| vec![s]);
+        for wanted in singles.chain([scenario.faulty().to_vec()]) {
+            let label = format!("{label} strategy={strategy} wanted={wanted:?}");
+            let plan = full.restrict_to(&wanted).expect("restricted plan");
+            assert!(plan.mult_xors() <= full.mult_xors(), "no dearer ({label})");
+            let mut stripe = pristine.clone();
+            stripe.erase(scenario);
+            let stats = executor
+                .decode(&plan, &mut stripe)
+                .expect("restricted decode");
+            assert!(stats.matches_prediction(), "restricted ledger ({label})");
+            for &w in &wanted {
+                assert_eq!(
+                    stripe.sector(w),
+                    reference.sector(w),
+                    "sector {w} ({label})"
+                );
+            }
+            assert_eq!(
+                executor.verify(&plan, &stripe).unwrap_err(),
+                RepairError::VerificationUnavailable,
+                "({label})"
+            );
+        }
+    }
 }
 
 /// One small write through [`UpdatePlan`]'s lowered patch lists and

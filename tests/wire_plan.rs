@@ -2,11 +2,11 @@
 //! family of the evaluation (SD, PMDS, LRC, RS), across thread budgets
 //! and GF backends, a plan that travels through its byte encoding —
 //! serialize, deserialize, re-validate, recompile kernels — must repair
-//! bit-identically to the in-process compiled tape. Both execution
-//! shapes are checked: whole-plan execution on a machine holding the
-//! stripe (`Executor::execute_wire`) and the cluster split
-//! (`Executor::wire_partials` + `Executor::finish_rest` + install),
-//! where only partial-sum blocks connect the two halves.
+//! bit-identically to the in-process plan. Both execution shapes are
+//! checked: whole-plan execution on a machine holding the stripe
+//! (`Executor::decode`, on the predicted mult_XOR ledger) and the
+//! cluster split (`Executor::wire_partials` + `Executor::finish_rest` +
+//! install), where only partial-sum blocks connect the two halves.
 //!
 //! The workload seed is read from `PPM_SEED` (default 2015) so CI can
 //! run this under a seed matrix without recompiling.
@@ -55,7 +55,7 @@ fn wire_differential<C: ErasureCode<u8>>(
         let mut pristine = random_data_stripe(code, SECTOR_BYTES, &mut rng);
         service.encode(&mut pristine).expect("encode");
 
-        // Reference leg: the in-process compiled tape.
+        // Reference leg: the in-process plan.
         let mut reference = pristine.clone();
         reference.erase(scenario);
         service.repair(&mut reference, scenario).expect("repair");
@@ -70,14 +70,16 @@ fn wire_differential<C: ErasureCode<u8>>(
         let decoded = WirePlan::decode(&bytes).expect("wire bytes decode");
         assert_eq!(decoded, wire, "byte round trip is lossless ({label})");
         let exec = decoded.compile::<u8>(backend).expect("wire plan compiles");
+        assert_eq!(exec.mult_xors(), wire.mult_xors(), "cost travels ({label})");
 
         let mut via_wire = pristine.clone();
         via_wire.erase(scenario);
-        service
+        let stats = service
             .executor()
-            .execute_wire(&exec, &mut via_wire)
-            .expect("execute_wire");
+            .decode(&exec, &mut via_wire)
+            .expect("decode of the compiled wire plan");
         assert_eq!(via_wire, pristine, "wire execution ({label})");
+        assert!(stats.matches_prediction(), "wire ledger ({label})");
 
         // Cluster-split leg: phase A + partial sums locally, phase B
         // from the shipped blocks alone, recovered sectors installed.
@@ -108,14 +110,21 @@ fn wire_differential<C: ErasureCode<u8>>(
         }
         assert_eq!(via_split, pristine, "split execution ({label})");
 
-        // The verify rows traveled too: the repaired stripe is clean.
+        // The verify rows traveled too: the repaired stripe is clean,
+        // on the same verify ledger as the in-process plan.
         let report = service
             .executor()
-            .verify_wire(&exec, &via_split)
-            .expect("verify_wire");
+            .verify(&exec, &via_split)
+            .expect("verify of the compiled wire plan");
         assert!(
             report.violated_rows.is_empty(),
             "wire verify clean ({label})"
+        );
+        assert_eq!(report.rows_checked, wire.verify_rows(), "({label})");
+        assert_eq!(
+            report.stats.mult_xors,
+            exec.verify_mult_xors() as u64,
+            "wire verify ledger ({label})"
         );
     }
 }
